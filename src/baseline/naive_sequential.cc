@@ -63,15 +63,11 @@ Status NaiveSequentialFile::BulkLoad(const std::vector<Record>& records) {
   }
   int64_t offset = 0;
   for (Address page = 1; page <= options_.num_pages; ++page) {
-    // lint:allow(raw-page-io): bulk-load layout is setup, unaccounted.
-    Page& p = file_.RawPage(page);
-    p.TakeAll();
     const int64_t take = std::min(options_.page_capacity, n - offset);
-    if (take > 0) {
-      p.AppendHigh(std::vector<Record>(records.begin() + offset,
-                                       records.begin() + offset + take));
-      offset += take;
-    }
+    // lint:allow(raw-page-io): bulk-load layout is setup, unaccounted.
+    DSF_RETURN_IF_ERROR(file_.RawWrite(
+        page, {records.data() + offset, static_cast<size_t>(take)}));
+    offset += take;
     RefreshFence(page);
   }
   size_ = n;
@@ -86,9 +82,8 @@ Status NaiveSequentialFile::Insert(const Record& record) {
   Address target = PageForKey(record.key);
   if (target == 0) target = std::max<int64_t>(1, UsedPages());
 
-  StatusOr<const Page*> read = file_.TryRead(target);
-  DSF_RETURN_IF_ERROR(read.status());
-  std::vector<Record> records = (*read)->records();
+  std::vector<Record> records;
+  DSF_RETURN_IF_ERROR(file_.Read(target, &records));
   const auto it = std::lower_bound(records.begin(), records.end(), record,
                                    RecordKeyLess);
   if (it != records.end() && it->key == record.key) {
@@ -106,17 +101,13 @@ Status NaiveSequentialFile::Insert(const Record& record) {
       carry = records.back();
       records.pop_back();
     }
-    StatusOr<Page*> w = file_.TryWrite(cur);
-    DSF_RETURN_IF_ERROR(w.status());
-    (*w)->TakeAll();
-    (*w)->AppendHigh(records);
+    DSF_RETURN_IF_ERROR(file_.Write(cur, records));
     RefreshFence(cur);
     if (!carry.has_value()) break;
     ++cur;
     DSF_CHECK(cur <= options_.num_pages) << "ripple ran off the file";
-    StatusOr<const Page*> next = file_.TryRead(cur);
-    DSF_RETURN_IF_ERROR(next.status());
-    records = (*next)->records();
+    records.clear();
+    DSF_RETURN_IF_ERROR(file_.Read(cur, &records));
     records.insert(records.begin(), *carry);
     carry.reset();
   }
@@ -127,9 +118,8 @@ Status NaiveSequentialFile::Insert(const Record& record) {
 Status NaiveSequentialFile::Delete(Key key) {
   const Address target = PageForKey(key);
   if (target == 0) return Status::NotFound("key absent");
-  StatusOr<const Page*> read = file_.TryRead(target);
-  DSF_RETURN_IF_ERROR(read.status());
-  std::vector<Record> records = (*read)->records();
+  std::vector<Record> records;
+  DSF_RETURN_IF_ERROR(file_.Read(target, &records));
   const auto it = std::lower_bound(records.begin(), records.end(),
                                    Record{key, 0}, RecordKeyLess);
   if (it == records.end() || it->key != key) {
@@ -141,21 +131,14 @@ Status NaiveSequentialFile::Delete(Key key) {
   // packing.
   const int64_t last_used = UsedPages();
   for (Address cur = target; cur < last_used; ++cur) {
-    StatusOr<const Page*> next_read = file_.TryRead(cur + 1);
-    DSF_RETURN_IF_ERROR(next_read.status());
-    const std::vector<Record> next = (*next_read)->records();
+    std::vector<Record> next;
+    DSF_RETURN_IF_ERROR(file_.Read(cur + 1, &next));
     records.push_back(next.front());
-    StatusOr<Page*> w = file_.TryWrite(cur);
-    DSF_RETURN_IF_ERROR(w.status());
-    (*w)->TakeAll();
-    (*w)->AppendHigh(records);
+    DSF_RETURN_IF_ERROR(file_.Write(cur, records));
     RefreshFence(cur);
     records.assign(next.begin() + 1, next.end());
   }
-  StatusOr<Page*> w = file_.TryWrite(last_used);
-  DSF_RETURN_IF_ERROR(w.status());
-  (*w)->TakeAll();
-  (*w)->AppendHigh(records);
+  DSF_RETURN_IF_ERROR(file_.Write(last_used, records));
   RefreshFence(last_used);
   --size_;
   return Status::OK();
@@ -164,9 +147,14 @@ Status NaiveSequentialFile::Delete(Key key) {
 StatusOr<Record> NaiveSequentialFile::Get(Key key) {
   const Address target = PageForKey(key);
   if (target == 0) return Status::NotFound("key absent");
-  StatusOr<const Page*> page = file_.TryRead(target);
-  DSF_RETURN_IF_ERROR(page.status());
-  return (*page)->Find(key);
+  std::vector<Record> records;
+  DSF_RETURN_IF_ERROR(file_.Read(target, &records));
+  const auto it = std::lower_bound(records.begin(), records.end(),
+                                   Record{key, 0}, RecordKeyLess);
+  if (it == records.end() || it->key != key) {
+    return Status::NotFound("key absent");
+  }
+  return *it;
 }
 
 bool NaiveSequentialFile::Contains(Key key) { return Get(key).ok(); }
@@ -177,10 +165,11 @@ Status NaiveSequentialFile::Scan(Key lo, Key hi, std::vector<Record>* out) {
   Address page = PageForKey(lo);
   if (page == 0) return Status::OK();
   const int64_t used = UsedPages();
+  std::vector<Record> records;
   for (; page <= used; ++page) {
-    StatusOr<const Page*> p = file_.TryRead(page);
-    DSF_RETURN_IF_ERROR(p.status());
-    for (const Record& r : (*p)->records()) {
+    records.clear();
+    DSF_RETURN_IF_ERROR(file_.Read(page, &records));
+    for (const Record& r : records) {
       if (r.key < lo) continue;
       if (r.key > hi) return Status::OK();
       out->push_back(r);

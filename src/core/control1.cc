@@ -14,7 +14,10 @@ StatusOr<std::unique_ptr<Control1>> Control1::Create(const Config& config) {
         "CONTROL 1 requires D - d > 3*ceil(log M); raise block_size "
         "(Theorem 5.7) to lift a small gap above the threshold");
   }
-  return std::unique_ptr<Control1>(new Control1(config, *spec));
+  StatusOr<std::unique_ptr<StorageBackend>> backend = MakeBackend(config);
+  if (!backend.ok()) return backend.status();
+  return std::unique_ptr<Control1>(
+      new Control1(config, *spec, std::move(*backend)));
 }
 
 Status Control1::Insert(const Record& record) {
@@ -79,8 +82,8 @@ Status Control1::Delete(Key key) {
   return EndCommand(write);
 }
 
-Status Control1::ValidateInvariants() const {
-  DSF_RETURN_IF_ERROR(ControlBase::ValidateInvariants());
+Status Control1::ValidateState() const {
+  DSF_RETURN_IF_ERROR(ControlBase::ValidateState());
   return ValidateBalance();
 }
 

@@ -33,14 +33,16 @@ class Control1 : public ControlBase {
   Status Delete(Key key) override;
   std::string Name() const override { return "CONTROL1"; }
 
-  // Structural checks plus BALANCE(d,D), which step B maintains.
-  Status ValidateInvariants() const override;
-
   const Stats& stats() const { return stats_; }
 
+ protected:
+  // Base checks plus BALANCE(d,D), which step B maintains.
+  Status ValidateState() const override;
+
  private:
-  Control1(const Config& config, DensitySpec logical_spec)
-      : ControlBase(config, logical_spec) {}
+  Control1(const Config& config, DensitySpec logical_spec,
+           std::unique_ptr<StorageBackend> backend)
+      : ControlBase(config, logical_spec, std::move(backend)) {}
 
   // Highest (least-depth) node on the path to `block` violating
   // p(v) > g(v,1); kNoNode if none. Only path nodes can have changed.

@@ -27,12 +27,18 @@ StatusOr<std::unique_ptr<Control2>> Control2::Create(const Options& options) {
   }
   const int64_t j =
       options.J > 0 ? options.J : spec->RecommendedJ(kDefaultJSafety);
-  return std::unique_ptr<Control2>(new Control2(options, *spec, j));
+  StatusOr<std::unique_ptr<StorageBackend>> backend =
+      MakeBackend(options.config);
+  if (!backend.ok()) return backend.status();
+  return std::unique_ptr<Control2>(
+      new Control2(options, *spec, j, std::move(*backend)));
 }
 
 Control2::Control2(const Options& options, DensitySpec logical_spec,
-                   int64_t j)
-    : ControlBase(options.config, logical_spec), options_(options), j_(j) {
+                   int64_t j, std::unique_ptr<StorageBackend> backend)
+    : ControlBase(options.config, logical_spec, std::move(backend)),
+      options_(options),
+      j_(j) {
   const size_t n = static_cast<size_t>(calibrator_.node_count());
   warning_.assign(n, 0);
   dest_.assign(n, 0);
@@ -425,8 +431,8 @@ Status Control2::Delete(Key key) {
   return EndCommand(maintenance);
 }
 
-Status Control2::ValidateInvariants() const {
-  DSF_RETURN_IF_ERROR(ControlBase::ValidateInvariants());
+Status Control2::ValidateState() const {
+  DSF_RETURN_IF_ERROR(ControlBase::ValidateState());
   // I4: BALANCE(d,D) at command end (Theorem 5.5).
   DSF_RETURN_IF_ERROR(ValidateBalance());
 

@@ -116,9 +116,6 @@ class Control2 : public ControlBase {
   Status Delete(Key key) override;
   std::string Name() const override { return "CONTROL2"; }
 
-  // Base checks plus Fact 5.1 flag consistency and DEST pointer sanity.
-  Status ValidateInvariants() const override;
-
   int64_t J() const { return j_; }
   const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
@@ -175,12 +172,15 @@ class Control2 : public ControlBase {
                         const std::string& label = "") override;
 
  protected:
+  // Base checks plus Fact 5.1 flag consistency and DEST pointer sanity.
+  Status ValidateState() const override;
   void AfterBulkLoad() override;
   void AfterWholesaleReorganization() override;
   void AfterRangeDeletion(Address lo_block, Address hi_block) override;
 
  private:
-  Control2(const Options& options, DensitySpec logical_spec, int64_t j);
+  Control2(const Options& options, DensitySpec logical_spec, int64_t j,
+           std::unique_ptr<StorageBackend> backend);
 
   // Step 4 of the mainline: J cycles of SELECT/SHIFT/lower. Stops at the
   // first faulted SHIFT; the command's record is already durably placed,

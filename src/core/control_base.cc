@@ -16,12 +16,19 @@ std::string RepairReport::ToString() const {
      << " dup_dropped=" << duplicate_records_dropped
      << " misordered=" << misordered_blocks << " overfull=" << overfull_pages
      << " packing=" << packing_violations
+     << " corrupt=" << corrupt_pages.size()
      << " rewrote=" << (rewrote_file ? "yes" : "no")
      << " flags_rebuilt=" << (warning_state_rebuilt ? "yes" : "no");
   return os.str();
 }
 
 namespace {
+
+// Physical page capacity D+1: one record may transiently exceed D inside
+// a command before the maintenance steps drain it.
+int64_t PhysicalPageCapacity(const ControlBase::Config& config) {
+  return config.D + 1;
+}
 
 Calibrator::LeafUpdate MakeLeafUpdate(const Record* begin, const Record* end) {
   Calibrator::LeafUpdate u;
@@ -54,16 +61,36 @@ StatusOr<DensitySpec> ControlBase::MakeLogicalSpec(const Config& config) {
                              config.block_size * config.D);
 }
 
-ControlBase::ControlBase(const Config& config, DensitySpec logical_spec)
+StatusOr<std::unique_ptr<StorageBackend>> ControlBase::MakeBackend(
+    const Config& config) {
+  if (config.backend_factory == nullptr) {
+    return std::unique_ptr<StorageBackend>();
+  }
+  const int64_t page_capacity = PhysicalPageCapacity(config);
+  StatusOr<std::unique_ptr<StorageBackend>> backend =
+      config.backend_factory(config.num_pages, page_capacity);
+  if (!backend.ok()) return backend.status();
+  if ((*backend)->num_pages() != config.num_pages ||
+      (*backend)->page_capacity() != page_capacity) {
+    return Status::FailedPrecondition(
+        "backend geometry (" + std::to_string((*backend)->num_pages()) +
+        " pages, capacity " + std::to_string((*backend)->page_capacity()) +
+        ") does not match the file (" + std::to_string(config.num_pages) +
+        ", " + std::to_string(page_capacity) + ")");
+  }
+  return backend;
+}
+
+ControlBase::ControlBase(const Config& config, DensitySpec logical_spec,
+                         std::unique_ptr<StorageBackend> backend)
     : logical_spec_(logical_spec),
       smart_placement_(config.smart_placement),
       block_size_(config.block_size),
       num_blocks_(config.num_pages / config.block_size),
       page_d_(config.d),
       page_D_(config.D),
-      // Physical capacity D+1: one record may transiently exceed D inside
-      // a command before the maintenance steps drain it.
-      file_(config.num_pages, config.D + 1),
+      file_(config.num_pages, PhysicalPageCapacity(config),
+            std::move(backend)),
       calibrator_(num_blocks_) {
   if (config.cache_frames > 0) {
     BufferPool::Options pool_options;
@@ -73,36 +100,21 @@ ControlBase::ControlBase(const Config& config, DensitySpec logical_spec)
   }
 }
 
-const Page& ControlBase::PeekLogical(Address page) const {
+const Page& ControlBase::PeekLogical(Address page,
+                                     Status* read_status) const {
   if (pool_ != nullptr) {
     const Page* frame = pool_->PeekFrame(page);
-    if (frame != nullptr) return *frame;
+    if (frame != nullptr) {
+      if (read_status != nullptr) *read_status = Status::OK();
+      return *frame;
+    }
   }
-  return file_.Peek(page);
-}
-
-bool ControlBase::LogicallyOrdered() const {
-  bool have_previous = false;
-  Key previous_max = 0;
-  for (Address p = 1; p <= file_.num_pages(); ++p) {
-    const Page& page = PeekLogical(p);
-    if (!page.WellFormed()) return false;
-    if (page.empty()) continue;
-    if (have_previous && page.MinKey() <= previous_max) return false;
-    previous_max = page.MaxKey();
-    have_previous = true;
-  }
-  return true;
+  return file_.Peek(page, read_status);
 }
 
 Status ControlBase::Flush() {
   if (pool_ != nullptr) DSF_RETURN_IF_ERROR(pool_->FlushAll());
   return file_.SyncBarrier();
-}
-
-Status ControlBase::AttachStorageBackend(
-    std::unique_ptr<StorageBackend> backend) {
-  return file_.AttachBackend(std::move(backend));
 }
 
 void ControlBase::DiscardCache() {
@@ -125,22 +137,64 @@ StatusOr<std::vector<Record>> ControlBase::ReadBlock(Address block) {
   return out;
 }
 
+Status ControlBase::ReadLogical(Address page, std::vector<Record>* out) {
+  if (pool_ == nullptr) return file_.Read(page, out);
+  StatusOr<PageGuard> guard = pool_->PinRead(page, "ControlBase::ReadLogical");
+  DSF_RETURN_IF_ERROR(guard.status());
+  const std::vector<Record>& records = guard->page().records();
+  out->insert(out->end(), records.begin(), records.end());
+  return Status::OK();
+}
+
+Status ControlBase::WriteLogical(Address page, std::span<const Record> records) {
+  if (pool_ == nullptr) return file_.Write(page, records);
+  if (defer_flush_) {
+    // Inside a drain window, a byte-identical page rewrite is skipped
+    // outright: the device (or the frame's pending flush at an
+    // order-correct earlier slot) already holds these bytes, so the
+    // write would only churn the pool's dirty-order list.
+    const Page* cached = pool_->PeekFrame(page);
+    if (cached != nullptr &&
+        std::equal(cached->records().begin(), cached->records().end(),
+                   records.begin(), records.end())) {
+      return Status::OK();
+    }
+  }
+  // Full-page overwrite: the pool skips the miss read and hands out a
+  // cleared dirty frame. The pool's dirty-order list preserves the
+  // crash-safe order the caller chose — frames reach the device in the
+  // order they were dirtied, not in address order. Drain windows use
+  // the content-aware path so the pool can absorb additive rewrites and
+  // relocate dependency-free ones (buffer_pool.h rules 2'/3†) instead
+  // of force-flushing the prefix on every re-dirty.
+  const Record* begin = records.data();
+  const Record* end = begin + records.size();
+  StatusOr<PageGuard> guard =
+      defer_flush_ ? pool_->PinForRewrite(page, begin, end,
+                                          "ControlBase::WriteLogical")
+                   : pool_->PinForOverwrite(page, "ControlBase::WriteLogical");
+  DSF_RETURN_IF_ERROR(guard.status());
+  guard->mutable_page()->AppendHigh(begin, end);
+  return Status::OK();
+}
+
+Status ControlBase::FreeLogical(Address page) {
+  // A real system records a freed page in metadata; clearing it is
+  // bookkeeping, not I/O. Pooled, the clear must ride the dirty order
+  // (it may not overtake the in-cache writes that moved its records).
+  if (pool_ != nullptr) return pool_->MarkFree(page);
+  // lint:allow(raw-page-io): freed-tail clear is unaccounted device
+  // maintenance per the accounting rule in storage/page_file.h.
+  return file_.RawWrite(page, {});
+}
+
 Status ControlBase::ReadBlockInto(Address block, std::vector<Record>* out) {
   const int64_t count = calibrator_.Count(calibrator_.LeafOf(block));
   const int64_t used = PagesUsed(count);
   const int64_t before = static_cast<int64_t>(out->size());
   const Address first = FirstPhysicalPage(block);
   for (int64_t i = 0; i < used; ++i) {
-    if (pool_ != nullptr) {
-      StatusOr<PageGuard> guard = pool_->PinRead(first + i, "ControlBase::ReadBlockInto");
-      DSF_RETURN_IF_ERROR(guard.status());
-      const std::vector<Record>& records = guard->page().records();
-      out->insert(out->end(), records.begin(), records.end());
-    } else {
-      StatusOr<const Page*> p = file_.TryRead(first + i);
-      DSF_RETURN_IF_ERROR(p.status());
-      out->insert(out->end(), (*p)->records().begin(), (*p)->records().end());
-    }
+    DSF_RETURN_IF_ERROR(ReadLogical(first + i, out));
   }
   (void)before;
   DSF_DCHECK(static_cast<int64_t>(out->size()) - before == count)
@@ -161,7 +215,7 @@ Status ControlBase::WriteBlock(Address block, const Record* begin,
   if (!s.ok()) {
     // The device holds a mix of old and new pages; make the calibrator
     // tell the truth about it before surfacing the error.
-    ResyncLeafFromRaw(block);
+    ResyncRangeFromRaw(block, block);
     return s;
   }
   const Calibrator::LeafUpdate u = MakeLeafUpdate(begin, end);
@@ -189,88 +243,18 @@ Status ControlBase::WriteBlockPages(Address block, const Record* begin,
   const Address first = FirstPhysicalPage(block);
   const bool backward = order == BlockWriteOrder::kBackward ||
                         (order == BlockWriteOrder::kAuto && n >= old_count);
-  Status fault = Status::OK();
   for (int64_t step = 0; step < used; ++step) {
     const int64_t i = backward ? used - 1 - step : step;
     const int64_t offset = i * page_D_;
     const int64_t take = (i + 1 < used) ? page_D_ : n - offset;
-    if (pool_ != nullptr) {
-      if (defer_flush_) {
-        // Inside a drain window, a byte-identical page rewrite is
-        // skipped outright: the device (or the frame's pending flush at
-        // an order-correct earlier slot) already holds these bytes, so
-        // the write would only churn the pool's dirty-order list.
-        const Page* cached = pool_->PeekFrame(first + i);
-        if (cached != nullptr &&
-            static_cast<int64_t>(cached->records().size()) == take &&
-            std::equal(cached->records().begin(), cached->records().end(),
-                       begin + offset)) {
-          continue;
-        }
-      }
-      // Full-page overwrite: the pool skips the miss read and hands out
-      // a cleared dirty frame. The pool's dirty-order list preserves the
-      // crash-safe order chosen here — frames reach the device in the
-      // order they were dirtied, not in address order. Drain windows use
-      // the content-aware path so the pool can absorb additive rewrites
-      // and relocate dependency-free ones (buffer_pool.h rules 2'/3†)
-      // instead of force-flushing the prefix on every re-dirty.
-      StatusOr<PageGuard> guard =
-          defer_flush_
-              ? pool_->PinForRewrite(first + i, begin + offset,
-                                     begin + offset + take,
-                                     "ControlBase::WriteBlockPages")
-              : pool_->PinForOverwrite(first + i,
-                                       "ControlBase::WriteBlockPages");
-      if (!guard.ok()) {
-        fault = guard.status();
-        break;
-      }
-      guard->mutable_page()->AppendHigh(begin + offset, begin + offset + take);
-    } else {
-      StatusOr<Page*> p = file_.TryWrite(first + i);
-      if (!p.ok()) {
-        fault = p.status();
-        break;
-      }
-      (*p)->Clear();
-      (*p)->AppendHigh(begin + offset, begin + offset + take);
-    }
+    DSF_RETURN_IF_ERROR(WriteLogical(
+        first + i, {begin + offset, static_cast<size_t>(take)}));
   }
-  if (!fault.ok()) return fault;
-  // Pages that fall out of the used prefix become free. A real system
-  // records this in metadata; clearing them here is bookkeeping, not I/O.
-  // Pooled, the clear must ride the dirty order (it may not overtake the
-  // in-cache writes that moved these records into the used prefix).
+  // Pages that fall out of the used prefix become free.
   for (int64_t i = used; i < old_used; ++i) {
-    if (pool_ != nullptr) {
-      DSF_RETURN_IF_ERROR(pool_->MarkFree(first + i));
-    } else {
-      // lint:allow(raw-page-io): freed-tail clear is unaccounted device
-      // maintenance per the accounting rule in storage/page_file.h.
-      file_.RawPage(first + i).Clear();
-    }
+    DSF_RETURN_IF_ERROR(FreeLogical(first + i));
   }
   return Status::OK();
-}
-
-void ControlBase::ResyncLeafFromRaw(Address block) {
-  const Address first = FirstPhysicalPage(block);
-  int64_t count = 0;
-  Key min_key = 0;
-  Key max_key = 0;
-  for (int64_t i = 0; i < block_size_; ++i) {
-    const Page& page = PeekLogical(first + i);
-    if (page.empty()) continue;
-    // A torn block may interleave old and new pages, so the true extrema
-    // need a full scan of every record, not just the first/last page.
-    for (const Record& r : page.records()) {
-      if (count == 0 || r.key < min_key) min_key = r.key;
-      if (count == 0 || r.key > max_key) max_key = r.key;
-      ++count;
-    }
-  }
-  calibrator_.SyncLeaf(block, count, min_key, max_key);
 }
 
 void ControlBase::ResyncRangeFromRaw(Address lo, Address hi) {
@@ -281,6 +265,9 @@ void ControlBase::ResyncRangeFromRaw(Address lo, Address hi) {
     Calibrator::LeafUpdate u;
     for (int64_t i = 0; i < block_size_; ++i) {
       const Page& page = PeekLogical(first + i);
+      // A torn block may interleave old and new pages, so the true
+      // extrema need a full scan of every record, not just the first and
+      // last page.
       for (const Record& r : page.records()) {
         if (u.count == 0 || r.key < u.min_key) u.min_key = r.key;
         if (u.count == 0 || r.key > u.max_key) u.max_key = r.key;
@@ -489,6 +476,11 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
     m_redistribution_blocks_->Observe(range_blocks);
   }
   const IoStats span_start = file_.stats();
+  // Every exit, clean abort or fault, records the redistribution span.
+  auto finish = [&](Status s) {
+    RecordSpan(SpanKind::kRedistribution, lo, hi, file_.stats() - span_start);
+    return s;
+  };
 
   // One scratch buffer for the whole reorganization: the read pass
   // appends into it, both write passes hand page-sized slices straight
@@ -497,11 +489,7 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
   for (Address b = calibrator_.FirstNonEmptyPageIn(lo, hi); b != 0;
        b = calibrator_.FirstNonEmptyPageIn(b + 1, hi)) {
     const Status s = ReadBlockInto(b, &all);
-    if (!s.ok()) {  // nothing written yet: clean abort
-      RecordSpan(SpanKind::kRedistribution, lo, hi,
-                 file_.stats() - span_start);
-      return s;
-    }
+    if (!s.ok()) return finish(s);  // nothing written yet: clean abort
   }
   const int64_t n = static_cast<int64_t>(all.size());
   const int64_t capacity = block_size_ * page_D_;
@@ -528,9 +516,7 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
     }
     if (!fault.ok()) {
       ResyncRangeFromRaw(lo, hi);
-      RecordSpan(SpanKind::kRedistribution, lo, hi,
-                 file_.stats() - span_start);
-      return fault;
+      return finish(fault);
     }
     calibrator_.SyncLeaves(lo, leaves);
   }
@@ -539,13 +525,8 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
   // on the device before the spread starts destroying packed positions.
   // (A no-op without a storage backend, and under a pool mid-command —
   // nothing has reached the device since the last flush.)
-  {
-    const Status sync = file_.SyncBarrier();
-    if (!sync.ok()) {
-      RecordSpan(SpanKind::kRedistribution, lo, hi,
-                 file_.stats() - span_start);
-      return sync;
-    }
+  if (const Status sync = file_.SyncBarrier(); !sync.ok()) {
+    return finish(sync);
   }
 
   // Pass 2 — spread right. The uniform layout never places a record to
@@ -567,14 +548,11 @@ Status ControlBase::RedistributeRangeCrashSafe(Address lo, Address hi) {
     }
     if (!fault.ok()) {
       ResyncRangeFromRaw(lo, hi);
-      RecordSpan(SpanKind::kRedistribution, lo, hi,
-                 file_.stats() - span_start);
-      return fault;
+      return finish(fault);
     }
     calibrator_.SyncLeaves(lo, leaves);
   }
-  RecordSpan(SpanKind::kRedistribution, lo, hi, file_.stats() - span_start);
-  return Status::OK();
+  return finish(Status::OK());
 }
 
 Status ControlBase::Compact() {
@@ -585,6 +563,50 @@ Status ControlBase::Compact() {
   }
   AfterWholesaleReorganization();
   return EndCommand();
+}
+
+ControlBase::PageScan ControlBase::ScanPages() const {
+  PageScan scan;
+  scan.leaves.resize(static_cast<size_t>(num_blocks_));
+  bool have_prev = false;
+  Key prev_max = 0;
+  for (Address block = 1; block <= num_blocks_; ++block) {
+    Calibrator::LeafUpdate& u = scan.leaves[static_cast<size_t>(block - 1)];
+    const Address first = FirstPhysicalPage(block);
+    bool saw_empty = false;
+    bool block_ordered = true;
+    for (int64_t i = 0; i < block_size_; ++i) {
+      Status read;
+      const Page& page = PeekLogical(first + i, &read);
+      if (read.IsCorruption()) {
+        scan.corrupt.push_back(first + i);
+      } else if (!read.ok() && scan.device_error.ok()) {
+        scan.device_error = read;
+      }
+      if (page.empty()) {
+        saw_empty = true;
+        continue;
+      }
+      if (saw_empty) {
+        if (scan.packing_violations++ == 0) scan.first_unpacked_block = block;
+        saw_empty = false;
+      }
+      if (page.size() > page_D_ && scan.overfull_pages++ == 0) {
+        scan.first_overfull_page = first + i;
+      }
+      if (!page.WellFormed()) block_ordered = false;
+      for (const Record& r : page.records()) {
+        if (have_prev && r.key <= prev_max) block_ordered = false;
+        prev_max = r.key;
+        have_prev = true;
+        if (u.count == 0 || r.key < u.min_key) u.min_key = r.key;
+        if (u.count == 0 || r.key > u.max_key) u.max_key = r.key;
+        ++u.count;
+      }
+    }
+    if (!block_ordered) ++scan.misordered_blocks;
+  }
+  return scan;
 }
 
 StatusOr<RepairReport> ControlBase::CheckAndRepair() {
@@ -603,51 +625,22 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   // that was open when the fault hit is over.
   defer_flush_ = false;
 
-  // Phase 1 — CHECK. One unaccounted pass over the raw pages (recovery
-  // is an offline scan of the device, outside the per-command cost
-  // model). Gather per-block truth and look for crash damage: overfull
+  // Phase 1 — CHECK. One unaccounted pass over the device pages
+  // (recovery is an offline scan, outside the per-command cost model),
+  // reading each page once: per-block truth, crash damage (overfull
   // pages, blocks not packed into a page prefix, broken global order or
-  // torn-shift duplicates, stale calibrator leaves.
-  std::vector<Calibrator::LeafUpdate> leaves(
-      static_cast<size_t>(num_blocks_));
-  bool content_clean = true;
-  bool have_prev = false;
-  Key prev_max = 0;
+  // torn-shift duplicates), stale calibrator leaves, and torn slots.
+  const PageScan scan = ScanPages();
+  // A device that could not be read says nothing about the slot, so
+  // nothing is judged or rewritten on its word.
+  if (!scan.device_error.ok()) return scan.device_error;
+  report.blocks_scanned = num_blocks_;
+  report.overfull_pages = scan.overfull_pages;
+  report.packing_violations = scan.packing_violations;
+  report.misordered_blocks = scan.misordered_blocks;
   for (Address block = 1; block <= num_blocks_; ++block) {
-    ++report.blocks_scanned;
-    Calibrator::LeafUpdate& u = leaves[static_cast<size_t>(block - 1)];
-    const Address first = FirstPhysicalPage(block);
-    bool saw_empty = false;
-    bool block_ordered = true;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      const Page& page = file_.Peek(first + i);
-      if (page.empty()) {
-        saw_empty = true;
-        continue;
-      }
-      if (saw_empty) {
-        ++report.packing_violations;
-        content_clean = false;
-        saw_empty = false;
-      }
-      if (page.size() > page_D_) {
-        ++report.overfull_pages;
-        content_clean = false;
-      }
-      if (!page.WellFormed()) block_ordered = false;
-      for (const Record& r : page.records()) {
-        if (have_prev && r.key <= prev_max) block_ordered = false;
-        prev_max = r.key;
-        have_prev = true;
-        if (u.count == 0 || r.key < u.min_key) u.min_key = r.key;
-        if (u.count == 0 || r.key > u.max_key) u.max_key = r.key;
-        ++u.count;
-      }
-    }
-    if (!block_ordered) {
-      ++report.misordered_blocks;
-      content_clean = false;
-    }
+    const Calibrator::LeafUpdate& u =
+        scan.leaves[static_cast<size_t>(block - 1)];
     const int leaf = calibrator_.LeafOf(block);
     if (calibrator_.Count(leaf) != u.count ||
         (u.count > 0 && (calibrator_.MinKeyOf(leaf) != u.min_key ||
@@ -655,17 +648,27 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
       ++report.calibrator_resyncs;
     }
   }
+  // Quarantine torn slots durably: rewrite each as the empty page it
+  // read as, so the next open reads a valid slot instead of tripping on
+  // the same CRC again — the cheap path below rewrites nothing, so
+  // detection itself must persist the verdict.
+  report.corrupt_pages = scan.corrupt;
+  for (const Address a : scan.corrupt) {
+    // lint:allow(raw-page-io): quarantine is offline recovery I/O.
+    DSF_RETURN_IF_ERROR(file_.RawWrite(a, {}));
+  }
 
-  if (content_clean) {
+  if (scan.content_clean()) {
     // Cheap path: the records on the device are intact; only in-memory
     // state (rank counters, fence keys, warning flags) needs rebuilding.
-    calibrator_.SyncLeaves(1, leaves);
+    // The scan verified I2/I3/I5 and the leaves now mirror it, so only
+    // the page-free checks remain.
+    calibrator_.SyncLeaves(1, scan.leaves);
     AfterWholesaleReorganization();
     report.warning_state_rebuilt = true;
-    // Nothing was rewritten, but a reopen may have left pending device
-    // state (e.g. the attach-time load found nothing to fix); the
-    // barrier is a cheap no-op then.
-    if (ValidateInvariants().ok()) {
+    if (ValidateState().ok()) {
+      // Nothing was rewritten, but the flush above or the quarantine
+      // may have left device writes to make durable.
       DSF_RETURN_IF_ERROR(file_.SyncBarrier());
       return report;
     }
@@ -680,10 +683,14 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   // pack-then-spread redistribution; docs/FAULTS.md) guarantee duplicate
   // copies of a key carry identical payloads, so which copy survives is
   // immaterial. Then rewrite at uniform density — Theorem 5.5's initial
-  // condition — via RawPage: recovery I/O is offline and unaccounted.
+  // condition — with raw writes: recovery I/O is offline and unaccounted.
   std::vector<Record> all;
   for (Address p = 1; p <= file_.num_pages(); ++p) {
-    const Page& page = file_.Peek(p);
+    // Corrupt slots were quarantined above, so any failure here is new
+    // and the rewrite below must not drop the page's records.
+    Status read;
+    const Page& page = file_.Peek(p, &read);
+    DSF_RETURN_IF_ERROR(read);
     all.insert(all.end(), page.records().begin(), page.records().end());
   }
   std::stable_sort(all.begin(), all.end(), RecordKeyLess);
@@ -694,28 +701,7 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   report.duplicate_records_dropped = all.end() - unique_end;
   all.erase(unique_end, all.end());
 
-  const int64_t n = static_cast<int64_t>(all.size());
-  int64_t offset = 0;
-  for (Address block = 1; block <= num_blocks_; ++block) {
-    const int64_t end = block * n / num_blocks_;
-    const Record* blo = all.data() + offset;
-    const Record* bhi = all.data() + end;
-    const Address first = FirstPhysicalPage(block);
-    int64_t written = 0;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      // lint:allow(raw-page-io): recovery rewrite is offline, unaccounted.
-      Page& page = file_.RawPage(first + i);
-      page.Clear();
-      const int64_t take = std::min(page_D_, (bhi - blo) - written);
-      if (take > 0) {
-        page.AppendHigh(blo + written, blo + written + take);
-        written += take;
-      }
-    }
-    leaves[static_cast<size_t>(block - 1)] = MakeLeafUpdate(blo, bhi);
-    offset = end;
-  }
-  calibrator_.SyncLeaves(1, leaves);
+  DSF_RETURN_IF_ERROR(LayOutBlocks(UniformSlices(all)));
   AfterWholesaleReorganization();
   report.rewrote_file = true;
   report.warning_state_rebuilt = true;
@@ -893,62 +879,109 @@ Status ControlBase::ValidateBalance() const {
 }
 
 Status ControlBase::ValidateInvariants() const {
-  // I1: cardinality bound.
-  if (calibrator_.TotalRecords() > MaxRecords()) {
-    return Status::Corruption("file exceeds N = d*M records");
+  // One read of every logical page. Pooled, the logical view (dirty
+  // frames over device pages) is what must hold; the device may lag by
+  // the unflushed tail of the in-flight command.
+  const PageScan scan = ScanPages();
+  if (!scan.device_error.ok()) return scan.device_error;
+  if (!scan.corrupt.empty()) {
+    return Status::Corruption("page " + std::to_string(scan.corrupt[0]) +
+                              " fails its integrity check");
   }
-  // I2: no physical page above D records (outside a command). Pooled,
-  // the logical view (dirty frames over device pages) is what must hold;
-  // the device may lag by the unflushed tail of the in-flight command.
-  for (Address p = 1; p <= file_.num_pages(); ++p) {
-    if (PeekLogical(p).size() > page_D_) {
-      return Status::Corruption("page " + std::to_string(p) +
-                                " holds more than D records");
-    }
+  // I2: no physical page above D records (outside a command).
+  if (scan.overfull_pages > 0) {
+    return Status::Corruption("page " +
+                              std::to_string(scan.first_overfull_page) +
+                              " holds more than D records");
   }
   // I3: global key order.
-  if (!LogicallyOrdered()) {
+  if (scan.misordered_blocks > 0) {
     return Status::Corruption("records out of sequential order");
   }
-  // I5: calibrator leaves mirror the true block contents, and each block
-  // is packed into a prefix of its pages.
+  // I5: each block is packed into a prefix of its pages, and the
+  // calibrator leaves mirror the true block contents.
+  if (scan.packing_violations > 0) {
+    return Status::Corruption("block " +
+                              std::to_string(scan.first_unpacked_block) +
+                              " is not prefix-packed");
+  }
   for (Address block = 1; block <= num_blocks_; ++block) {
-    const Address first = FirstPhysicalPage(block);
-    int64_t count = 0;
-    Key min_key = 0;
-    Key max_key = 0;
-    bool saw_empty = false;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      const Page& page = PeekLogical(first + i);
-      if (page.empty()) {
-        saw_empty = true;
-        continue;
-      }
-      if (saw_empty) {
-        return Status::Corruption("block " + std::to_string(block) +
-                                  " is not prefix-packed");
-      }
-      if (count == 0) min_key = page.MinKey();
-      max_key = page.MaxKey();
-      count += page.size();
-    }
+    const Calibrator::LeafUpdate& u =
+        scan.leaves[static_cast<size_t>(block - 1)];
     const int leaf = calibrator_.LeafOf(block);
-    if (calibrator_.Count(leaf) != count) {
+    if (calibrator_.Count(leaf) != u.count) {
       return Status::Corruption("rank counter stale for block " +
                                 std::to_string(block));
     }
-    if (count > 0 && (calibrator_.MinKeyOf(leaf) != min_key ||
-                      calibrator_.MaxKeyOf(leaf) != max_key)) {
+    if (u.count > 0 && (calibrator_.MinKeyOf(leaf) != u.min_key ||
+                        calibrator_.MaxKeyOf(leaf) != u.max_key)) {
       return Status::Corruption("fence keys stale for block " +
                                 std::to_string(block));
     }
   }
+  return ValidateState();
+}
+
+Status ControlBase::ValidateState() const {
+  // I1: cardinality bound.
+  if (calibrator_.TotalRecords() > MaxRecords()) {
+    return Status::Corruption("file exceeds N = d*M records");
+  }
   return calibrator_.ValidateAggregates();
 }
 
-Status ControlBase::BulkLoad(const std::vector<Record>& records) {
+std::vector<std::span<const Record>> ControlBase::UniformSlices(
+    const std::vector<Record>& records) const {
   const int64_t n = static_cast<int64_t>(records.size());
-  if (n > MaxRecords()) {
+  std::vector<std::span<const Record>> slices;
+  slices.reserve(static_cast<size_t>(num_blocks_));
+  int64_t offset = 0;
+  for (Address block = 1; block <= num_blocks_; ++block) {
+    const int64_t end = block * n / num_blocks_;
+    slices.emplace_back(records.data() + offset,
+                        static_cast<size_t>(end - offset));
+    offset = end;
+  }
+  return slices;
+}
+
+Status ControlBase::LayOutBlocks(
+    const std::vector<std::span<const Record>>& slices) {
+  std::vector<Calibrator::LeafUpdate> leaves;
+  leaves.reserve(slices.size());
+  for (Address block = 1; block <= num_blocks_; ++block) {
+    std::span<const Record> rest = slices[static_cast<size_t>(block - 1)];
+    leaves.push_back(MakeLeafUpdate(rest.data(), rest.data() + rest.size()));
+    const Address first = FirstPhysicalPage(block);
+    for (int64_t i = 0; i < block_size_; ++i) {
+      const size_t take =
+          std::min(static_cast<size_t>(page_D_), rest.size());
+      // lint:allow(raw-page-io): layout is setup or offline repair,
+      // unaccounted per the accounting rule in storage/page_file.h.
+      DSF_RETURN_IF_ERROR(file_.RawWrite(first + i, rest.first(take)));
+      rest = rest.subspan(take);
+    }
+  }
+  calibrator_.SyncLeaves(1, leaves);
+  return Status::OK();
+}
+
+Status ControlBase::Load(const std::vector<std::span<const Record>>& slices) {
+  // The load writes the device directly; stale cached frames would
+  // shadow it.
+  DiscardCache();
+  DSF_RETURN_IF_ERROR(LayOutBlocks(slices));
+  // Make the load durable before handing the file to commands; the
+  // stats reset below keeps setup I/O out of the measured counters.
+  DSF_RETURN_IF_ERROR(file_.SyncBarrier());
+  file_.ResetStats();
+  ResetCommandStats();
+  AfterBulkLoad();
+  return Status::OK();
+}
+
+Status ControlBase::BulkLoad(const std::vector<Record>& records) {
+  if (static_cast<int64_t>(records.size()) > MaxRecords()) {
     return Status::CapacityExceeded("bulk load exceeds N = d*M records");
   }
   for (size_t i = 1; i < records.size(); ++i) {
@@ -957,43 +990,7 @@ Status ControlBase::BulkLoad(const std::vector<Record>& records) {
           "bulk load records must be strictly ascending by key");
     }
   }
-  // The load writes the device directly; stale cached frames would
-  // shadow it.
-  DiscardCache();
-  // Uniform-density spread (Theorem 5.5's initial condition): block j of
-  // B gets floor((j+1)n/B) - floor(jn/B) records, so any aligned range is
-  // within one record per block of the global average.
-  std::vector<Calibrator::LeafUpdate> leaves;
-  leaves.reserve(static_cast<size_t>(num_blocks_));
-  int64_t offset = 0;
-  for (Address block = 1; block <= num_blocks_; ++block) {
-    const int64_t end = block * n / num_blocks_;
-    const Record* lo = records.data() + offset;
-    const Record* hi = records.data() + end;
-    // Lay out unaccounted: loading is setup, not a measured command.
-    const Address first = FirstPhysicalPage(block);
-    int64_t written = 0;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      // lint:allow(raw-page-io): bulk-load layout is setup, unaccounted.
-      Page& page = file_.RawPage(first + i);
-      page.Clear();
-      const int64_t take = std::min(page_D_, (hi - lo) - written);
-      if (take > 0) {
-        page.AppendHigh(lo + written, lo + written + take);
-        written += take;
-      }
-    }
-    leaves.push_back(MakeLeafUpdate(lo, hi));
-    offset = end;
-  }
-  calibrator_.SyncLeaves(1, leaves);
-  // Make the load durable before handing the file to commands; the
-  // stats reset below keeps setup I/O out of the measured counters.
-  DSF_RETURN_IF_ERROR(file_.SyncBarrier());
-  file_.ResetStats();
-  ResetCommandStats();
-  AfterBulkLoad();
-  return Status::OK();
+  return Load(UniformSlices(records));
 }
 
 Status ControlBase::LoadLayout(const std::vector<std::vector<Record>>& per_block) {
@@ -1019,36 +1016,8 @@ Status ControlBase::LoadLayout(const std::vector<std::vector<Record>>& per_block
   if (total > MaxRecords()) {
     return Status::CapacityExceeded("LoadLayout exceeds N = d*M records");
   }
-  DiscardCache();
-  std::vector<Calibrator::LeafUpdate> leaves;
-  leaves.reserve(static_cast<size_t>(num_blocks_));
-  for (Address block = 1; block <= num_blocks_; ++block) {
-    const std::vector<Record>& slice =
-        per_block[static_cast<size_t>(block - 1)];
-    const Record* lo = slice.data();
-    const Record* hi = slice.data() + slice.size();
-    const Address first = FirstPhysicalPage(block);
-    int64_t written = 0;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      // lint:allow(raw-page-io): layout loading is setup, unaccounted.
-      Page& page = file_.RawPage(first + i);
-      page.Clear();
-      const int64_t take = std::min(page_D_, (hi - lo) - written);
-      if (take > 0) {
-        page.AppendHigh(lo + written, lo + written + take);
-        written += take;
-      }
-    }
-    leaves.push_back(MakeLeafUpdate(lo, hi));
-  }
-  calibrator_.SyncLeaves(1, leaves);
-  // Make the load durable before handing the file to commands; the
-  // stats reset below keeps setup I/O out of the measured counters.
-  DSF_RETURN_IF_ERROR(file_.SyncBarrier());
-  file_.ResetStats();
-  ResetCommandStats();
-  AfterBulkLoad();
-  return Status::OK();
+  return Load(std::vector<std::span<const Record>>(per_block.begin(),
+                                                   per_block.end()));
 }
 
 }  // namespace dsf

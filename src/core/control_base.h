@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,13 +46,17 @@ struct RepairReport {
   int64_t misordered_blocks = 0;     // blocks breaking global key order
   int64_t overfull_pages = 0;        // pages holding more than D records
   int64_t packing_violations = 0;    // blocks not prefix-packed
+  // Device slots that failed their integrity check (torn or corrupt):
+  // read as empty and durably quarantined as empty pages, so their
+  // records are lost unless crash ordering had duplicated them.
+  std::vector<Address> corrupt_pages;
   bool rewrote_file = false;         // wholesale uniform rewrite performed
   bool warning_state_rebuilt = false;  // algorithm flags rebuilt from scratch
 
   bool AnythingRepaired() const {
     return calibrator_resyncs > 0 || duplicate_records_dropped > 0 ||
            misordered_blocks > 0 || overfull_pages > 0 ||
-           packing_violations > 0 || rewrote_file;
+           packing_violations > 0 || !corrupt_pages.empty() || rewrote_file;
   }
   std::string ToString() const;
 };
@@ -95,6 +100,14 @@ class ControlBase {
     // unchanged — see docs/CACHING.md).
     int64_t cache_frames = 0;
     BufferPool::Eviction cache_eviction = BufferPool::Eviction::kClock;
+
+    // The durable device behind the page file, built by Create once the
+    // configuration has been validated (a rejected Create never touches
+    // the device). Null keeps the pages an in-memory simulation. With a
+    // device holding data — a reopen — follow Create with CheckAndRepair:
+    // the calibrator and warning state are in-memory structures that
+    // died with the previous process.
+    StorageBackendFactory backend_factory;
   };
 
   virtual ~ControlBase() = default;
@@ -152,7 +165,12 @@ class ControlBase {
   // is an offline pass over the device, outside the paper's per-command
   // cost model), rebuilds the calibrator's N_v rank counters and fence
   // keys bottom-up, and clears stale algorithm state (WARNING flags,
-  // DEST/SOURCE pointers) via AfterWholesaleReorganization.
+  // DEST/SOURCE pointers) via AfterWholesaleReorganization. Device slots
+  // that fail their integrity check (kCorruption) are reported, read as
+  // empty, and quarantined durably (rewritten empty, then a barrier) so
+  // the next open does not trip on the same torn slot. A read that fails
+  // for any other reason (kIoError) returns that error before anything
+  // is rewritten: the slot's records may be intact.
   //
   // Cheap path: if the page contents are still globally ordered,
   // duplicate-free, prefix-packed and within page capacity, only the
@@ -162,7 +180,7 @@ class ControlBase {
   // carry identical payloads by the write-ordering invariants, see
   // docs/FAULTS.md), and rewrites the file at uniform density. On return
   // the file satisfies ValidateInvariants(); the report says what was
-  // fixed.
+  // fixed. The cheap path reads every page exactly once.
   StatusOr<RepairReport> CheckAndRepair();
 
   // Mean records per page over the pages a full scan touches (a packing
@@ -189,15 +207,6 @@ class ControlBase {
   // of a simulated crash. The device is left as the last flush left it;
   // callers must follow with CheckAndRepair to re-sync in-memory state.
   void DiscardCache();
-  // Attaches a durable storage backend behind the page file and loads
-  // its device image as the working image (see PageFile::AttachBackend).
-  // When the backend held existing data — a reopen — the caller must
-  // follow with CheckAndRepair: the calibrator and warning state are
-  // in-memory structures that died with the previous process, and any
-  // unreadable device pages (file().corrupt_pages_at_open()) need the
-  // repair pass. Attach before loading or mutating data, so every write
-  // reaches the device.
-  Status AttachStorageBackend(std::unique_ptr<StorageBackend> backend);
   const Calibrator& calibrator() const { return calibrator_; }
   int64_t page_d() const { return page_d_; }
   int64_t page_D() const { return page_D_; }
@@ -219,9 +228,10 @@ class ControlBase {
                                 const std::string& label = "");
 
   // The page as the algorithms see it: the resident dirty/clean frame
-  // when pooled, the device page otherwise. Unaccounted; for validators,
+  // when pooled, the device page otherwise (PageFile::Peek, with its
+  // reference lifetime and *read_status). Unaccounted; for validators,
   // the invariant auditor (analysis/auditor.h) and resync.
-  const Page& PeekLogical(Address page) const;
+  const Page& PeekLogical(Address page, Status* read_status = nullptr) const;
 
   // Unaccounted point lookup over the logical view (resident frames
   // first, device pages otherwise). Outside the paper's cost model — for
@@ -258,10 +268,9 @@ class ControlBase {
   // outside tests/auditor_test.cc.
   Calibrator& mutable_calibrator_for_testing() { return calibrator_; }
 
-  // Structural invariants I1-I3 and I5. Subclasses extend with their
-  // algorithm-specific checks — BALANCE(d,D) for CONTROL 1/2 (Theorem
-  // 5.5), flag/pointer sanity for CONTROL 2. O(M); for tests/debugging.
-  virtual Status ValidateInvariants() const;
+  // Structural invariants I1-I3 and I5 plus ValidateState's checks: one
+  // pass reading every logical page once. O(M); for tests/debugging.
+  Status ValidateInvariants() const;
 
   // Loads `records` (strictly ascending keys, size <= d*M) spread with
   // uniform density over the whole file — the initial condition of
@@ -272,13 +281,31 @@ class ControlBase {
   // i+1; keys must ascend across the concatenation and each block must
   // fit in D# records). Unaccounted. Used by tests and by the Example 5.2
   // replay, whose initial state is deliberately non-uniform.
+  // Both loads return a device error (e.g. kIoError from a failing
+  // backend) instead of aborting; the file is then left for
+  // CheckAndRepair.
   Status LoadLayout(const std::vector<std::vector<Record>>& per_block);
 
  protected:
-  explicit ControlBase(const Config& config, DensitySpec logical_spec);
+  // `backend` comes from MakeBackend(config).
+  ControlBase(const Config& config, DensitySpec logical_spec,
+              std::unique_ptr<StorageBackend> backend);
 
   // Factory-time validation shared by subclasses.
   static StatusOr<DensitySpec> MakeLogicalSpec(const Config& config);
+  // Builds config.backend_factory's device (null without a factory); the
+  // last step of a subclass Create, after its validation. Rejects a
+  // device whose geometry differs from the file's with kFailedPrecondition.
+  static StatusOr<std::unique_ptr<StorageBackend>> MakeBackend(
+      const Config& config);
+
+  // The invariant checks that need no page reads: I1 and the
+  // calibrator's aggregates. Subclasses extend them with their
+  // algorithm-specific checks — BALANCE(d,D) for CONTROL 1/2 (Theorem
+  // 5.5), flag/pointer sanity for CONTROL 2. CheckAndRepair's clean path
+  // runs only these: its own page pass already verified I2/I3/I5 from
+  // the same reads.
+  virtual Status ValidateState() const;
 
   // Hook for subclasses to reset algorithm state after BulkLoad replaced
   // the file contents (e.g. CONTROL 2 clears its warning flags — valid
@@ -385,16 +412,11 @@ class ControlBase {
   // Costs 2x the writes of a one-pass rewrite; same asymptotics.
   Status RedistributeRangeCrashSafe(Address lo, Address hi);
 
-  // Rebuilds the calibrator leaf of `block` from the logical page
-  // contents — cached frame if resident, device page otherwise
+  // Rebuilds the calibrator leaves of blocks [lo, hi] from the logical
+  // page contents — cached frame if resident, device page otherwise
   // (unaccounted). Called after a failed block write so the in-memory
   // tree matches whatever the store actually holds.
-  void ResyncLeafFromRaw(Address block);
-  // Same for every block in [lo, hi], with one batched SyncLeaves.
   void ResyncRangeFromRaw(Address lo, Address hi);
-
-  // PageFile::GloballyOrdered over the logical view.
-  bool LogicallyOrdered() const;
 
  private:
   friend class Cursor;
@@ -402,6 +424,48 @@ class ControlBase {
   StatusOr<std::vector<Record>> ReadBlockForCursor(Address block) {
     return ReadBlock(block);
   }
+
+  // One page access through the pool when there is one, straight to the
+  // device otherwise — the single pool-vs-device choice point.
+  // ReadLogical appends the page's records to *out; WriteLogical
+  // replaces the page (inside a drain window through the pool's
+  // content-aware rewrite path); FreeLogical empties a page dropped from
+  // a block's used prefix, unaccounted but in write order.
+  Status ReadLogical(Address page, std::vector<Record>* out);
+  Status WriteLogical(Address page, std::span<const Record> records);
+  Status FreeLogical(Address page);
+
+  // One pass over the logical pages, each read once: the true per-block
+  // contents and the structural facts I2, I3 and I5 are made of.
+  struct PageScan {
+    std::vector<Calibrator::LeafUpdate> leaves;  // one per block
+    int64_t overfull_pages = 0;      // pages above D records (I2)
+    int64_t misordered_blocks = 0;   // blocks breaking key order (I3)
+    int64_t packing_violations = 0;  // pages after an empty one (I5)
+    Address first_overfull_page = 0;
+    Address first_unpacked_block = 0;
+    std::vector<Address> corrupt;  // slots failing their integrity check
+    Status device_error;           // the first other failed read
+
+    bool content_clean() const {
+      return overfull_pages == 0 && misordered_blocks == 0 &&
+             packing_violations == 0;
+    }
+  };
+  PageScan ScanPages() const;
+
+  // Lays slices[b-1] out over block b, D records per page and prefix-
+  // packed, with unaccounted raw writes, and syncs the calibrator to
+  // match — the layout step of BulkLoad, LoadLayout and the repair
+  // rewrite.
+  Status LayOutBlocks(const std::vector<std::span<const Record>>& slices);
+  // Block b of B gets records [floor((b-1)n/B), floor(bn/B)): the uniform
+  // density of Theorem 5.5's initial condition.
+  std::vector<std::span<const Record>> UniformSlices(
+      const std::vector<Record>& records) const;
+  // BulkLoad/LoadLayout's shared body after validation: drop the cache,
+  // lay out, make the load durable, and reset the statistics.
+  Status Load(const std::vector<std::span<const Record>>& slices);
 
   // Physical pages used by a block holding `count` records.
   int64_t PagesUsed(int64_t count) const;

@@ -58,6 +58,10 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
         "staging_entries / staging_bytes / drain_batch must be >= 0");
   }
 
+  // The device exists before the page file does, so a durable file
+  // never allocates an in-memory page image.
+  config.backend_factory = options.backend_factory;
+
   std::unique_ptr<ControlBase> control;
   // CONTROL 2's resolved J, captured for the bound certifier; 0 for the
   // other policies (they are certified against the CONTROL 2 envelope at
@@ -65,7 +69,8 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
   int64_t control2_j = 0;
   switch (options.policy) {
     case Policy::kControl1: {
-      StatusOr<std::unique_ptr<Control1>> c = Control1::Create(config);
+      StatusOr<std::unique_ptr<Control1>> c =
+          Control1::Create(config);
       if (!c.ok()) return c.status();
       control = std::move(*c);
       break;
@@ -74,14 +79,16 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
       Control2::Options c2;
       c2.config = config;
       c2.J = options.J;
-      StatusOr<std::unique_ptr<Control2>> c = Control2::Create(c2);
+      StatusOr<std::unique_ptr<Control2>> c =
+          Control2::Create(c2);
       if (!c.ok()) return c.status();
       control2_j = (*c)->J();
       control = std::move(*c);
       break;
     }
     case Policy::kLocalShift: {
-      StatusOr<std::unique_ptr<LocalShift>> c = LocalShift::Create(config);
+      StatusOr<std::unique_ptr<LocalShift>> c =
+          LocalShift::Create(config);
       if (!c.ok()) return c.status();
       control = std::move(*c);
       break;
@@ -91,16 +98,6 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Create(
   resolved.block_size = block_size;
   std::unique_ptr<DenseFile> file(
       new DenseFile(resolved, std::move(control)));
-  if (options.backend_factory != nullptr) {
-    // Attach the durable device before anything can land in the pages:
-    // from here on every device write is persisted in issue order.
-    PageFile& pf = file->control_->file();
-    StatusOr<std::unique_ptr<StorageBackend>> backend =
-        options.backend_factory(pf.num_pages(), pf.page_capacity());
-    DSF_RETURN_IF_ERROR(backend.status());
-    DSF_RETURN_IF_ERROR(
-        file->control_->AttachStorageBackend(std::move(*backend)));
-  }
   // The J the Theorem-5.7 envelope is evaluated at — shared by the bound
   // certifier and the drain scheduler's step budget, and retunable later
   // through SetMaintenanceJ (never below this resolved default).
@@ -270,16 +267,26 @@ StatusOr<std::unique_ptr<DenseFile>> DenseFile::Open(const Options& options) {
   StatusOr<std::unique_ptr<DenseFile>> file_or = Create(options);
   DSF_RETURN_IF_ERROR(file_or.status());
   std::unique_ptr<DenseFile> file = std::move(file_or).value();
-  // Create attached the backend and loaded the device image into the
-  // working pages; the calibrator and warning state are still empty.
-  // The repair pass rebuilds them and fixes crash damage — including
-  // dropping records from slots that failed their checksum (recorded in
+  // Create put the device behind the page file; the calibrator and
+  // warning state are still empty. The repair pass reads every page once
+  // to rebuild them and fixes crash damage — including quarantining
+  // slots that failed their checksum (recorded in
   // corrupt_pages_at_open()).
   StatusOr<RepairReport> report = file->CheckAndRepair();
   DSF_RETURN_IF_ERROR(report.status());
   file->open_repair_report_ = *report;
   return file;
 }
+
+namespace {
+
+// The device failed the command: an access failed (kIoError) or a slot
+// failed its integrity check (kCorruption).
+bool IsDeviceFault(const Status& s) {
+  return s.IsIoError() || s.IsCorruption();
+}
+
+}  // namespace
 
 Status DenseFile::MaybeAudit(Status s) const {
   if (!options_.audit_every_command) return s;
@@ -288,7 +295,7 @@ Status DenseFile::MaybeAudit(Status s) const {
   // CheckAndRepair; auditing that state would report the fault's damage
   // as corruption. Every other outcome — success or a user-level
   // rejection — must leave a fully consistent file.
-  if (s.IsIoError() || s.IsResourceExhausted()) return s;
+  if (IsDeviceFault(s) || s.IsResourceExhausted()) return s;
   const Status audit = Audit().ToStatus();
   if (!audit.ok() && s.ok()) return audit;
   return s;
@@ -297,7 +304,7 @@ Status DenseFile::MaybeAudit(Status s) const {
 Status DenseFile::Insert(const Record& record) {
   if (staging_ == nullptr) return MaybeAudit(control_->Insert(record));
   Status s = StageInsert(record);
-  if (!s.IsIoError()) {
+  if (!IsDeviceFault(s)) {
     // Piggyback: every command pays a slice of the drain debt (a
     // rejected stage still triggers it — the buffer is just as full).
     const Status drain = MaybeDrain();
@@ -309,7 +316,7 @@ Status DenseFile::Insert(const Record& record) {
 Status DenseFile::Delete(Key key) {
   if (staging_ == nullptr) return MaybeAudit(control_->Delete(key));
   Status s = StageDelete(key);
-  if (!s.IsIoError()) {
+  if (!IsDeviceFault(s)) {
     const Status drain = MaybeDrain();
     if (s.ok() && !drain.ok()) s = drain;
   }

@@ -93,12 +93,13 @@ class DenseFile {
     // --- Durable storage (src/storage/; see docs/STORAGE.md) ---
     // Factory for the durable device behind the page file, called once
     // at Create with the file's physical geometry (num_pages, page
-    // capacity D+1). The backend is attached before any data lands, so
-    // every device write is persisted in crash-safe order and fdatasync
-    // barriers fire at the documented durability points. Null (the
-    // default) keeps the file a pure in-memory simulation. Use
-    // FileBackend::CreateFactory for a fresh file pair and
-    // DenseFile::Open + FileBackend::OpenFactory to reopen one.
+    // capacity D+1). The device holds the pages — no in-memory image is
+    // kept besides the pool's frames — so every device write is
+    // persisted in crash-safe order and fdatasync barriers fire at the
+    // documented durability points. Null (the default) keeps the file a
+    // pure in-memory simulation. Use FileBackend::CreateFactory for a
+    // fresh file pair and DenseFile::Open + FileBackend::OpenFactory to
+    // reopen one.
     StorageBackendFactory backend_factory;
 
     // --- Observability (src/obs/; see docs/OBSERVABILITY.md) ---
@@ -124,13 +125,13 @@ class DenseFile {
   };
 
   // Validates options and builds the file. All pages start empty (with a
-  // backend_factory that loads existing data, the working image holds it
-  // but the in-memory calibrator does not — use Open for that path).
+  // backend_factory that opens existing data, the device holds it but
+  // the in-memory calibrator does not — use Open for that path).
   static StatusOr<std::unique_ptr<DenseFile>> Create(const Options& options);
 
   // The reopen path: Create with a data-bearing backend (e.g.
   // FileBackend::OpenFactory), then CheckAndRepair to rebuild the
-  // calibrator and warning state from the loaded pages and repair any
+  // calibrator and warning state from the device pages and repair any
   // crash damage (torn-shift duplicates, unreadable pages). Requires
   // options.backend_factory. What the repair pass found is kept on the
   // file: open_repair_report().
@@ -374,10 +375,10 @@ class DenseFile {
   const RepairReport& open_repair_report() const {
     return open_repair_report_;
   }
-  // Pages whose device slot failed integrity checks when the backend was
-  // attached (their records were dropped by the open-time repair).
+  // Pages whose device slot failed integrity checks at Open (their
+  // records were dropped by the open-time repair).
   const std::vector<Address>& corrupt_pages_at_open() const {
-    return control_->file().corrupt_pages_at_open();
+    return open_repair_report_.corrupt_pages;
   }
 
   // The options the file was created with (block_size resolved).

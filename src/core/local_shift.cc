@@ -11,7 +11,10 @@ StatusOr<std::unique_ptr<LocalShift>> LocalShift::Create(
     const Config& config) {
   StatusOr<DensitySpec> spec = MakeLogicalSpec(config);
   if (!spec.ok()) return spec.status();
-  return std::unique_ptr<LocalShift>(new LocalShift(config, *spec));
+  StatusOr<std::unique_ptr<StorageBackend>> backend = MakeBackend(config);
+  if (!backend.ok()) return backend.status();
+  return std::unique_ptr<LocalShift>(
+      new LocalShift(config, *spec, std::move(*backend)));
 }
 
 Address LocalShift::NearestBlockWithSpace(Address from) const {

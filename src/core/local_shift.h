@@ -43,8 +43,9 @@ class LocalShift : public ControlBase {
   const Stats& stats() const { return stats_; }
 
  private:
-  LocalShift(const Config& config, DensitySpec logical_spec)
-      : ControlBase(config, logical_spec) {}
+  LocalShift(const Config& config, DensitySpec logical_spec,
+             std::unique_ptr<StorageBackend> backend)
+      : ControlBase(config, logical_spec, std::move(backend)) {}
 
   // Nearest block with free space, scanning outward from `from`
   // (in-memory counter reads only); 0 if the file is solid.

@@ -570,6 +570,10 @@ StatusOr<RepairReport> ShardedDenseFile::CheckAndRepair() {
     total.misordered_blocks += part->misordered_blocks;
     total.overfull_pages += part->overfull_pages;
     total.packing_violations += part->packing_violations;
+    // Addresses are shard-local; the union still counts every torn slot.
+    total.corrupt_pages.insert(total.corrupt_pages.end(),
+                               part->corrupt_pages.begin(),
+                               part->corrupt_pages.end());
     total.rewrote_file = total.rewrote_file || part->rewrote_file;
     total.warning_state_rebuilt =
         total.warning_state_rebuilt || part->warning_state_rebuilt;

@@ -124,12 +124,12 @@ StatusOr<int64_t> BufferPool::AcquireFrame(Address address, bool load) {
   Frame& f = frames_[static_cast<size_t>(index)];
   DSF_DCHECK(f.address == 0 && !f.dirty && f.pins == 0);
   if (load) {
-    StatusOr<const Page*> device = file_->TryDeviceRead(address);
-    if (!device.ok()) {
+    const Status read = file_->DeviceRead(address, &f.page);
+    if (!read.ok()) {
+      f.page.Clear();
       free_frames_.push_back(index);
-      return device.status();
+      return read;
     }
-    f.page = **device;
   } else {
     f.page.Clear();
   }
@@ -176,30 +176,7 @@ StatusOr<int64_t> BufferPool::EvictFrame() {
   if (frames_[static_cast<size_t>(victim)].dirty) {
     // Evicting a dirty frame must not reorder writes: flush the dirty
     // prefix through the victim so its content lands in order.
-    Status flushed = FlushPrefixThrough(victim);
-    if (flushed.code() == StatusCode::kFailedPrecondition) {
-      // A concurrent shared reader holds a pin on some frame in the
-      // dirty prefix (legal under docs/CONCURRENCY.md — read pins on
-      // dirty frames are ordinary when readers share the shard lock).
-      // The write order must not bend around it, so fall back to a
-      // clean unpinned victim instead of failing the read; only when
-      // every unpinned frame is dirty-and-blocked does the error
-      // propagate.
-      int64_t clean = -1;
-      int64_t best_tick = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        const Frame& g = frames_[static_cast<size_t>(i)];
-        if (g.address == 0 || g.pins > 0 || g.dirty) continue;
-        if (clean < 0 || g.lru_tick < best_tick) {
-          clean = i;
-          best_tick = g.lru_tick;
-        }
-      }
-      if (clean < 0) return flushed;
-      victim = clean;
-    } else {
-      DSF_RETURN_IF_ERROR(flushed);
-    }
+    DSF_RETURN_IF_ERROR(FlushPrefixThrough(victim));
   }
   Frame& f = frames_[static_cast<size_t>(victim)];
   resident_.erase(f.address);
@@ -242,28 +219,32 @@ void BufferPool::RecordPin(int64_t frame, const char* owner, bool write) {
   // Destabilize the epoch version: the guard holder may now mutate the
   // page contents outside mu_, so epoch readers must skip this frame
   // until the guard releases (see the header note).
-  if (write) ++f.version;
+  if (write) {
+    ++f.version;
+    ++f.write_pins;
+  }
 }
 
 Status BufferPool::FlushFrame(int64_t frame) {
   Frame& f = frames_[static_cast<size_t>(frame)];
   DSF_DCHECK(f.dirty) << "FlushFrame on clean frame";
-  if (f.pins > 0) {
-    // Never write back a pinned frame (the holder may be mid-mutation).
-    // Reached only on API misuse (two overlapping write guards forcing a
-    // prefix flush through each other); fail soft rather than abort.
-    return Status::FailedPrecondition("flush of pinned frame " +
+  if (f.write_pins > 0) {
+    // Never write back a write-pinned frame (the holder may be
+    // mid-mutation). Read pins do not block: a write-back only reads the
+    // page, like their holders — shared-lock readers pin dirty frames
+    // while another reader's miss flushes the dirty prefix. Reached only
+    // on API misuse (two overlapping write guards forcing a prefix flush
+    // through each other); fail soft rather than abort.
+    return Status::FailedPrecondition("flush of write-pinned frame " +
                                       std::to_string(f.address));
   }
   if (f.free_write) {
     // Unaccounted layout bookkeeping, matching the unpooled path where
-    // freed tail pages are cleared via RawPage.
-    file_->RawPage(f.address).Clear();
+    // freed tail pages are cleared via RawWrite.
+    DSF_RETURN_IF_ERROR(file_->RawWrite(f.address, {}));
     ++stats_.free_writes;
   } else {
-    StatusOr<Page*> device = file_->TryDeviceWrite(f.address);
-    if (!device.ok()) return device.status();
-    **device = f.page;
+    DSF_RETURN_IF_ERROR(file_->DeviceWrite(f.address, f.page));
     ++stats_.writebacks;
     if (m_writebacks_ != nullptr) m_writebacks_->Increment();
   }
@@ -513,7 +494,7 @@ StatusOr<PageGuard> BufferPool::PinForRewrite(Address address,
 }
 
 Status BufferPool::MarkFree(Address address) {
-  // Unaccounted (parity with the unpooled RawPage clear), but ordered:
+  // Unaccounted (parity with the unpooled RawWrite clear), but ordered:
   // the clear rides L so it cannot overtake the in-cache writes that
   // moved this page's records elsewhere.
   MutexLock lock(mu_);
@@ -730,7 +711,10 @@ void BufferPool::Unpin(int64_t frame, bool write) {
   // Write guard released: the contents are stable again (even version),
   // and the bump invalidates nothing retroactively — epoch readers never
   // copied from this frame while the version was odd.
-  if (write) ++f.version;
+  if (write) {
+    ++f.version;
+    --f.write_pins;
+  }
 }
 
 }  // namespace dsf

@@ -9,8 +9,9 @@
 // and reach the device only at flush or eviction.
 //
 // Pinning. Every access hands out a PageGuard that pins the frame for
-// its lifetime; pinned frames are never evicted or written back. When
-// all frames are pinned and another page is requested the pool returns
+// its lifetime; pinned frames are never evicted, and write-pinned ones
+// are never written back (a read pin only reads, as a write-back does,
+// so it does not block one). When all frames are pinned and another page is requested the pool returns
 // kResourceExhausted — it never aborts.
 //
 // Crash-safe write-back order. The crash-recovery discipline (see
@@ -72,8 +73,8 @@
 // Freed-page bookkeeping. When a macro-block shrinks, its freed tail
 // pages must end up empty on the device. MarkFree() enqueues that clear
 // through L like any write (so it cannot overtake the writes that moved
-// the records out), but the device clear itself is unaccounted RawPage
-// bookkeeping, matching the unpooled path.
+// the records out), but the device clear itself is an unaccounted
+// PageFile::RawWrite, matching the unpooled path.
 //
 // Thread safety. The pool's bookkeeping structures (resident map, dirty
 // list, free list, stats) are guarded by an internal mutex, annotated
@@ -126,7 +127,8 @@ class Counter;
 class Histogram;
 
 // RAII pin on a buffer-pool frame. While alive, the frame cannot be
-// evicted or written back. Movable, not copyable; unpins on destruction.
+// evicted, nor written back if the guard is a write guard. Movable, not
+// copyable; unpins on destruction.
 class PageGuard {
  public:
   PageGuard() = default;
@@ -371,6 +373,7 @@ class BufferPool {
     Address address = 0;  // 0 = empty frame
     Page page;
     int32_t pins = 0;
+    int32_t write_pins = 0;  // the write guards among `pins`
     bool dirty = false;
     bool free_write = false;  // dirty content is "page becomes empty"
     bool ref = false;         // CLOCK second-chance bit

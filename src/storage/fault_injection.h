@@ -1,7 +1,7 @@
 // Deterministic fault injection for the simulated page device.
 //
 // A FaultPolicy is a scripted schedule of storage faults consulted by
-// PageFile::TryRead/TryWrite once per *accounted* access, before the page
+// PageFile's accounted calls once per access, before the page
 // is touched. A faulted access is still charged to IoStats — the paper's
 // cost metric counts attempted page accesses, and the online-labeling
 // write-cost literature treats retried/aborted writes as real work — but

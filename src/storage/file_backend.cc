@@ -300,7 +300,7 @@ Status FileBackend::DeserializeSlot(Address address,
   if (count == 0 && stored_crc == 0) return Status::OK();  // hole / empty
   if (count > static_cast<uint64_t>(page_capacity_)) {
     crc_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::IoError("page " + std::to_string(address) +
+    return Status::Corruption("page " + std::to_string(address) +
                            ": slot record count " + std::to_string(count) +
                            " exceeds capacity " +
                            std::to_string(page_capacity_));
@@ -310,7 +310,7 @@ Status FileBackend::DeserializeSlot(Address address,
   crc = Crc32cExtend(crc, body, static_cast<size_t>(count) * kRecordBytes);
   if (crc != stored_crc) {
     crc_failures_.fetch_add(1, std::memory_order_relaxed);
-    return Status::IoError("page " + std::to_string(address) +
+    return Status::Corruption("page " + std::to_string(address) +
                            ": slot checksum mismatch (torn or corrupt write)");
   }
   for (uint64_t i = 0; i < count; ++i) {
@@ -318,11 +318,11 @@ Status FileBackend::DeserializeSlot(Address address,
     r.key = GetU64(body, static_cast<size_t>(i) * kRecordBytes);
     r.value = GetU64(body, static_cast<size_t>(i) * kRecordBytes + 8);
     // The CRC matched, so a key-order violation means the slot was
-    // written malformed, not torn — still kIoError, the page is unusable.
+    // written malformed, not torn — still kCorruption, the page is unusable.
     if (i > 0 && r.key <= out->MaxKey()) {
       out->Clear();
       crc_failures_.fetch_add(1, std::memory_order_relaxed);
-      return Status::IoError("page " + std::to_string(address) +
+      return Status::Corruption("page " + std::to_string(address) +
                              ": slot records are not strictly ascending");
     }
     out->AppendHigh(&r, &r + 1);

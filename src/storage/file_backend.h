@@ -22,8 +22,9 @@
 //                   followed by the records (key u64, value u64 each)
 //                   and zero fill. The CRC covers the count and the
 //                   record bytes; ReadPage rejects a mismatch with a
-//                   typed kIoError (the torn-page signal CheckAndRepair
-//                   treats like an injected fault). A fully zero slot is
+//                   typed kCorruption (the torn-page signal
+//                   CheckAndRepair quarantines), apart from the kIoError
+//                   of a failed syscall. A fully zero slot is
 //                   a valid empty page, so a fresh ftruncate'd file
 //                   reads back as the all-empty state without writing
 //                   num_pages * slot_bytes of zeros at create.
@@ -72,8 +73,10 @@ class FileBackend : public StorageBackend {
     // Attempt O_DIRECT on the data file; falls back to buffered I/O
     // where the filesystem refuses it.
     bool direct_io = false;
-    // Verify accounted device reads against the on-disk image (CRC +
-    // equality with the working image). See StorageBackend::VerifyOnRead.
+    // Inert: every read is CRC-checked and PageFile no longer compares
+    // against a second image (see StorageBackend::VerifyOnRead). Kept
+    // for the benchmark's tests; to be removed with the next benchmark
+    // change.
     bool verify_reads = true;
     // Testing: after this many completed data-file pwrites, the next
     // pwrite raises SIGKILL on the calling process instead of running.
@@ -144,8 +147,8 @@ class FileBackend : public StorageBackend {
   // Serializes `page` into the (aligned) scratch buffer; returns the
   // slot image. Buffer is zero-filled past the records.
   void SerializeSlot(const Page& page, unsigned char* slot) const;
-  // Deserializes a slot image into *out; kIoError on CRC mismatch or an
-  // impossible record count.
+  // Deserializes a slot image into *out; kCorruption on CRC mismatch, an
+  // impossible record count or unordered keys.
   Status DeserializeSlot(Address address, const unsigned char* slot,
                          Page* out) const;
   int64_t SlotOffset(Address address) const {

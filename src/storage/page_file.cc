@@ -1,6 +1,5 @@
 #include "storage/page_file.h"
 
-#include <sstream>
 #include <thread>
 
 #include "util/check.h"
@@ -13,10 +12,20 @@
 
 namespace dsf {
 
-PageFile::PageFile(int64_t num_pages, int64_t page_capacity)
-    : num_pages_(num_pages), page_capacity_(page_capacity) {
+PageFile::PageFile(int64_t num_pages, int64_t page_capacity,
+                   std::unique_ptr<StorageBackend> backend)
+    : num_pages_(num_pages),
+      page_capacity_(page_capacity),
+      backend_(std::move(backend)) {
   DSF_CHECK(num_pages >= 1) << "PageFile needs at least one page";
   DSF_CHECK(page_capacity >= 1) << "PageFile needs positive page capacity";
+  if (backend_ != nullptr) {
+    DSF_CHECK(backend_->num_pages() == num_pages &&
+              backend_->page_capacity() == page_capacity)
+        << "backend geometry does not match the file";
+    write_scratch_ = Page(page_capacity);
+    return;
+  }
   pages_.reserve(static_cast<size_t>(num_pages));
   for (int64_t i = 0; i < num_pages; ++i) pages_.emplace_back(page_capacity);
 }
@@ -38,182 +47,123 @@ Status PageFile::SlowPathAccess(Address address, bool is_write,
   return Status::OK();
 }
 
-StatusOr<const Page*> PageFile::TryDeviceRead(Address address) {
+Status PageFile::Charge(Address address, bool is_write) {
   if (address < 1 || address > num_pages_) {
-    return Status::OutOfRange("read address " + std::to_string(address) +
+    return Status::OutOfRange(std::string(is_write ? "write" : "read") +
+                              " address " + std::to_string(address) +
                               " outside [1," + std::to_string(num_pages_) +
                               "]");
   }
-  const int64_t charge_ns = tracker_.OnAccess(address, /*is_write=*/false);
+  const int64_t charge_ns = tracker_.OnAccess(address, is_write);
   if (DSF_PREDICT_FALSE(slow_path_)) {
-    DSF_RETURN_IF_ERROR(
-        SlowPathAccess(address, /*is_write=*/false, charge_ns));
-    if (backend_ != nullptr) {
-      // A device read is an ordering point: the pending write (if any)
-      // reaches the backend first. During concurrent shared-lock reads
-      // the pending slot is empty (EndCommand flushed it), so this is
-      // a race-free no-op there.
-      DSF_RETURN_IF_ERROR(FlushPending());
-      if (backend_->VerifyOnRead()) {
-        DSF_RETURN_IF_ERROR(VerifyDeviceRead(address));
-      }
-    }
+    return SlowPathAccess(address, is_write, charge_ns);
   }
-  return const_cast<const Page*>(&pages_[static_cast<size_t>(address - 1)]);
+  return Status::OK();
 }
 
-StatusOr<Page*> PageFile::TryDeviceWrite(Address address) {
-  if (address < 1 || address > num_pages_) {
-    return Status::OutOfRange("write address " + std::to_string(address) +
-                              " outside [1," + std::to_string(num_pages_) +
-                              "]");
-  }
-  const int64_t charge_ns = tracker_.OnAccess(address, /*is_write=*/true);
-  if (DSF_PREDICT_FALSE(slow_path_)) {
-    DSF_RETURN_IF_ERROR(
-        SlowPathAccess(address, /*is_write=*/true, charge_ns));
-    // After the fault consult: an injected write fault must suppress the
-    // durable write too (the simulated device did not accept it).
-    if (backend_ != nullptr) DSF_RETURN_IF_ERROR(ArmPending(address));
-  }
-  return &pages_[static_cast<size_t>(address - 1)];
+namespace {
+
+// Backend reads stage through thread-local pages, so concurrent
+// shared-lock readers never share a buffer: one for Read, one for Peek
+// (a Peek reference survives the thread's accounted reads).
+Page& Sized(Page& page, int64_t capacity) {
+  if (page.capacity() != capacity) page = Page(capacity);
+  return page;
 }
 
-StatusOr<const Page*> PageFile::TryRead(Address address) {
+}  // namespace
+
+Status PageFile::Read(Address address, std::vector<Record>* out) {
   tracker_.OnLogical(/*is_write=*/false);
-  return TryDeviceRead(address);
+  DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/false));
+  if (backend_ == nullptr) {
+    const std::vector<Record>& records =
+        pages_[static_cast<size_t>(address - 1)].records();
+    out->insert(out->end(), records.begin(), records.end());
+    return Status::OK();
+  }
+  thread_local Page staging;
+  Page& page = Sized(staging, page_capacity_);
+  DSF_RETURN_IF_ERROR(backend_->ReadPage(address, &page));
+  out->insert(out->end(), page.records().begin(), page.records().end());
+  return Status::OK();
 }
 
-StatusOr<Page*> PageFile::TryWrite(Address address) {
+Status PageFile::Write(Address address, std::span<const Record> records) {
   tracker_.OnLogical(/*is_write=*/true);
-  return TryDeviceWrite(address);
+  DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/true));
+  return Store(address, records);
 }
 
-const Page& PageFile::Read(Address address) {
-  StatusOr<const Page*> page = TryRead(address);
-  // lint:allow(check-on-fault-path): Read IS the documented abort-on-fault
-  // wrapper; fault-tolerant callers use TryRead.
-  DSF_CHECK(page.ok()) << "infallible Read failed: "
-                       << page.status().ToString();
-  return **page;
-}
-
-Page& PageFile::Write(Address address) {
-  StatusOr<Page*> page = TryWrite(address);
-  // lint:allow(check-on-fault-path): Write IS the documented abort-on-fault
-  // wrapper; fault-tolerant callers use TryWrite.
-  DSF_CHECK(page.ok()) << "infallible Write failed: "
-                       << page.status().ToString();
-  return **page;
-}
-
-Page& PageFile::RawPage(Address address) {
-  DSF_CHECK(address >= 1 && address <= num_pages_)
-      << "RawPage address " << address << " outside [1," << num_pages_
-      << "]";
-  if (DSF_PREDICT_FALSE(backend_ != nullptr)) {
-    // Unaccounted bookkeeping mutations (bulk load, freed-tail clears,
-    // recovery rewrites) still must reach the device, so they ride the
-    // same pending slot. RawPage has no error channel; a flush failure
-    // here is a real device failure, not an injected fault (the policy
-    // never fires on this path), so aborting is the honest outcome.
-    const Status s = ArmPending(address);
-    // lint:allow(check-on-fault-path): see above — real I/O failure only.
-    DSF_CHECK(s.ok()) << "backend flush failed in RawPage: " << s.ToString();
+Status PageFile::DeviceRead(Address address, Page* out) {
+  DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/false));
+  if (backend_ == nullptr) {
+    *out = pages_[static_cast<size_t>(address - 1)];
+    return Status::OK();
   }
-  return pages_[static_cast<size_t>(address - 1)];
+  return backend_->ReadPage(address, out);
 }
 
-const Page& PageFile::Peek(Address address) const {
-  DSF_CHECK(address >= 1 && address <= num_pages_)
-      << "Peek address " << address << " outside [1," << num_pages_ << "]";
-  return pages_[static_cast<size_t>(address - 1)];
+Status PageFile::DeviceWrite(Address address, const Page& page) {
+  DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/true));
+  if (backend_ == nullptr) {
+    pages_[static_cast<size_t>(address - 1)] = page;
+    return Status::OK();
+  }
+  return BackendWrite(address, page);
 }
 
-Status PageFile::AttachBackend(std::unique_ptr<StorageBackend> backend) {
-  DSF_CHECK(backend != nullptr) << "AttachBackend needs a backend";
-  if (backend_ != nullptr) {
-    return Status::FailedPrecondition("a storage backend is already attached");
+Status PageFile::RawWrite(Address address, std::span<const Record> records) {
+  if (address < 1 || address > num_pages_) {
+    return Status::OutOfRange("raw write address " + std::to_string(address) +
+                              " outside [1," + std::to_string(num_pages_) +
+                              "]");
   }
-  if (backend->num_pages() != num_pages_ ||
-      backend->page_capacity() != page_capacity_) {
-    return Status::FailedPrecondition(
-        "backend geometry (" + std::to_string(backend->num_pages()) +
-        " pages, capacity " + std::to_string(backend->page_capacity()) +
-        ") does not match the file (" + std::to_string(num_pages_) +
-        ", " + std::to_string(page_capacity_) + ")");
-  }
-  // Load the device image into the working image. A fresh backend reads
-  // as all-empty pages; an existing one is the reopen path. Torn or
-  // corrupt slots (kIoError) become empty working pages and are recorded
-  // for CheckAndRepair; any other error is a real device failure.
-  corrupt_pages_at_open_.clear();
-  Page scratch(page_capacity_);
-  for (Address a = 1; a <= num_pages_; ++a) {
-    const Status s = backend->ReadPage(a, &scratch);
-    if (s.ok()) {
-      pages_[static_cast<size_t>(a - 1)] = scratch;
-    } else if (s.IsIoError()) {
-      corrupt_pages_at_open_.push_back(a);
-      pages_[static_cast<size_t>(a - 1)].Clear();
-    } else {
-      return s;
-    }
-  }
-  // Quarantine corrupt slots durably: overwrite each with its emptied
-  // working page so the next open reads a valid (empty) slot instead of
-  // tripping on the same torn CRC again — CheckAndRepair's cheap path
-  // never rewrites pages, so detection itself must persist the verdict.
-  for (const Address a : corrupt_pages_at_open_) {
-    DSF_RETURN_IF_ERROR(
-        backend->WritePage(a, pages_[static_cast<size_t>(a - 1)]));
-  }
-  if (!corrupt_pages_at_open_.empty()) {
-    DSF_RETURN_IF_ERROR(backend->SyncBarrier());
-  }
-  backend_ = std::move(backend);
-  pending_ = 0;
-  dirty_since_sync_ = false;
-  UpdateSlowPath();
-  return Status::OK();
+  return Store(address, records);
 }
 
-Status PageFile::ArmPending(Address address) {
-  if (pending_ == address) return Status::OK();  // write combining
-  DSF_RETURN_IF_ERROR(FlushPending());
-  pending_ = address;
-  return Status::OK();
+Status PageFile::Store(Address address, std::span<const Record> records) {
+  Page& page = backend_ == nullptr ? pages_[static_cast<size_t>(address - 1)]
+                                   : write_scratch_;
+  page.Clear();
+  page.AppendHigh(records.data(), records.data() + records.size());
+  if (backend_ == nullptr) return Status::OK();
+  return BackendWrite(address, page);
 }
 
-Status PageFile::FlushPending() {
-  if (pending_ == 0) return Status::OK();
-  const Address a = pending_;
-  pending_ = 0;
-  DSF_RETURN_IF_ERROR(
-      backend_->WritePage(a, pages_[static_cast<size_t>(a - 1)]));
+Status PageFile::BackendWrite(Address address, const Page& page) {
+  if (!sync_failure_.ok()) return sync_failure_;
+  DSF_RETURN_IF_ERROR(backend_->WritePage(address, page));
   dirty_since_sync_ = true;
   return Status::OK();
 }
 
-Status PageFile::VerifyDeviceRead(Address address) {
-  Page device_image(page_capacity_);
-  DSF_RETURN_IF_ERROR(backend_->ReadPage(address, &device_image));
-  const Page& working = pages_[static_cast<size_t>(address - 1)];
-  if (!(device_image.records() == working.records())) {
-    return Status::IoError(
-        "page " + std::to_string(address) +
-        ": device image diverges from the working image (" +
-        std::to_string(device_image.size()) + " vs " +
-        std::to_string(working.size()) + " records)");
+const Page& PageFile::Peek(Address address, Status* read_status) const {
+  DSF_CHECK(address >= 1 && address <= num_pages_)
+      << "Peek address " << address << " outside [1," << num_pages_ << "]";
+  if (read_status != nullptr) *read_status = Status::OK();
+  if (backend_ == nullptr) return pages_[static_cast<size_t>(address - 1)];
+  thread_local Page scratch;
+  Page& page = Sized(scratch, page_capacity_);
+  const Status s = backend_->ReadPage(address, &page);
+  if (!s.ok()) {
+    page.Clear();
+    if (read_status != nullptr) *read_status = s;
   }
-  return Status::OK();
+  return page;
 }
 
 Status PageFile::SyncBarrier() {
   if (backend_ == nullptr) return Status::OK();
-  DSF_RETURN_IF_ERROR(FlushPending());
+  if (!sync_failure_.ok()) return sync_failure_;
   if (!dirty_since_sync_) return Status::OK();  // nothing written since last
-  DSF_RETURN_IF_ERROR(backend_->SyncBarrier());
+  const Status s = backend_->SyncBarrier();
+  if (!s.ok()) {
+    sync_failure_ = Status::IoError(
+        "device failed a persistence barrier (" + s.ToString() +
+        "); unsynced writes may be lost, reopen to recover");
+    return sync_failure_;
+  }
   dirty_since_sync_ = false;
   return Status::OK();
 }
@@ -222,14 +172,15 @@ void PageFile::ResetStats() { tracker_.Reset(); }
 
 int64_t PageFile::TotalRecords() const {
   int64_t total = 0;
-  for (const Page& p : pages_) total += p.size();
+  for (Address a = 1; a <= num_pages_; ++a) total += Peek(a).size();
   return total;
 }
 
 bool PageFile::GloballyOrdered() const {
   bool have_previous = false;
   Key previous_max = 0;
-  for (const Page& p : pages_) {
+  for (Address a = 1; a <= num_pages_; ++a) {
+    const Page& p = Peek(a);
     if (!p.WellFormed()) return false;
     if (p.empty()) continue;
     if (have_previous && p.MinKey() <= previous_max) return false;
@@ -237,15 +188,6 @@ bool PageFile::GloballyOrdered() const {
     have_previous = true;
   }
   return true;
-}
-
-std::string PageFile::DebugString() const {
-  std::ostringstream os;
-  for (int64_t i = 0; i < num_pages_; ++i) {
-    os << (i + 1) << ": " << pages_[static_cast<size_t>(i)].DebugString()
-       << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace dsf

@@ -1,33 +1,32 @@
 // StorageBackend: the pluggable durable device behind PageFile.
 //
-// PageFile keeps the *working image* of every page in memory (that is
-// what makes Peek/RawPage free and lets the simulation run at RAM
-// speed). A StorageBackend, when attached, is the *device*: the state
-// that survives a process death. The split mirrors a real DBMS — the
-// working image is the OS page cache + heap, the backend is the
-// platters — and it is what converts the repo's crash-ordering proofs
-// from simulation into durable-storage evidence:
+// When a backend is attached it IS the device: PageFile keeps no page
+// image of its own, and each accounted device read or write goes
+// straight to ReadPage/WritePage (docs/STORAGE.md). What that buys the
+// repo's crash-ordering proofs is durable-storage evidence instead of
+// simulation:
 //
-//   - every accounted device write (TryDeviceWrite, and the unaccounted
-//     RawPage bookkeeping mutations) is persisted through WritePage, in
-//     exactly the order the crash-safe maintenance issued it
-//     (docs/FAULTS.md: DEST-before-SOURCE, directional block rewrites);
+//   - every device write (accounted, or PageFile::RawWrite bookkeeping)
+//     is one WritePage, issued in exactly the order the crash-safe
+//     maintenance issued it (docs/FAULTS.md: DEST-before-SOURCE,
+//     directional block rewrites);
 //   - SyncBarrier() is called at the points the write-ordering argument
 //     already assumes a persistence boundary (end of each
 //     duplicate-then-delete phase, the EndCommand flush boundary, bulk
 //     load, repair) — for a file backend this is fdatasync;
 //   - ReadPage loads a page image back, verifying integrity (CRC32C for
 //     the file backend); a torn or corrupt page surfaces as a typed
-//     kIoError that CheckAndRepair treats like an injected fault.
+//     kCorruption that CheckAndRepair quarantines, while a device
+//     failure (kIoError) leaves the slot's content for a later retry.
 //
 // Two implementations ship: MemoryBackend (below) keeps the device
-// image in a second in-memory page vector — the existing simulation,
-// now holding the same contract as real storage — and FileBackend
-// (storage/file_backend.h) keeps it in a real index/data file pair with
-// page-aligned pread/pwrite and fdatasync. Fault injection composes
-// unchanged: the FaultPolicy is consulted by PageFile *before* the
-// backend is touched, so an injected write fault suppresses the
-// persistent write exactly as it suppresses the simulated one.
+// image in an in-memory page vector — plumbing without an OS file, for
+// tests — and FileBackend (storage/file_backend.h) keeps it in a real
+// index/data file pair with page-aligned pread/pwrite and fdatasync.
+// Fault injection composes unchanged: the FaultPolicy is consulted by
+// PageFile *before* the backend is touched, so an injected write fault
+// suppresses the persistent write exactly as it suppresses the
+// simulated one.
 
 #ifndef DSF_STORAGE_STORAGE_BACKEND_H_
 #define DSF_STORAGE_STORAGE_BACKEND_H_
@@ -48,21 +47,23 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  // Geometry the backend was created with (PageFile::AttachBackend
-  // rejects a mismatch against the live file).
+  // Geometry the backend was created with (DenseFile::Create rejects a
+  // mismatch against the file it is building).
   virtual int64_t num_pages() const = 0;
   virtual int64_t page_capacity() const = 0;
 
   // Durably records `page` as the content of `address` (1-based). The
   // write must be atomic at page granularity from the caller's
   // perspective: after a crash the slot holds either the old image or
-  // the new one, or fails ReadPage with kIoError (a torn write) — never
+  // the new one, or fails ReadPage with kCorruption (a torn write) — never
   // silently mixes the two.
   virtual Status WritePage(Address address, const Page& page) = 0;
 
   // Loads the device image of `address` into *out (replacing its
   // contents; *out keeps its capacity). Integrity-checked: a corrupt
-  // slot returns kIoError and leaves *out empty.
+  // slot returns kCorruption and leaves *out empty. kIoError means the
+  // device could not be read (a failed syscall, no buffer) and says
+  // nothing about the slot's content.
   virtual Status ReadPage(Address address, Page* out) = 0;
 
   // Persistence barrier: on return, every WritePage issued before the
@@ -70,10 +71,10 @@ class StorageBackend {
   // device image cannot outlive the process anyway.
   virtual Status SyncBarrier() = 0;
 
-  // When true, PageFile verifies every accounted device read against
-  // the backend image (CRC + record-level equality with the working
-  // image), making divergence between the two surface at the access
-  // that would have observed it instead of at the next reopen.
+  // Inert: PageFile no longer consults it — with no second image to
+  // compare against, every device read is the ReadPage above, which is
+  // already integrity-checked. Kept only because the benchmark's timing
+  // decorator overrides it; to be removed with the next benchmark change.
   virtual bool VerifyOnRead() const { return true; }
 
   virtual std::string Name() const = 0;
@@ -88,13 +89,11 @@ using StorageBackendFactory =
     std::function<StatusOr<std::unique_ptr<StorageBackend>>(
         int64_t num_pages, int64_t page_capacity)>;
 
-// The in-memory device: a second page vector standing in for the
-// platters. Same write-through and read-back contract as the file
-// backend, RAM speed, nothing survives the process — the simulation
-// configuration every pre-backend test and experiment ran against,
-// expressed as a StorageBackend so the two are interchangeable behind
-// PageFile (and differentially comparable: see
-// tests/storage_backend_test.cc parity sweeps).
+// The in-memory device: a page vector standing in for the platters.
+// Same write and read-back contract as the file backend, RAM speed,
+// nothing survives the process — the backend plumbing without an OS
+// file, differentially comparable with the simulation and the file
+// backend (see tests/storage_backend_test.cc parity sweeps).
 class MemoryBackend : public StorageBackend {
  public:
   MemoryBackend(int64_t num_pages, int64_t page_capacity);
@@ -105,11 +104,6 @@ class MemoryBackend : public StorageBackend {
   Status ReadPage(Address address, Page* out) override;
   Status SyncBarrier() override { return Status::OK(); }
   std::string Name() const override { return "memory"; }
-
-  // Test hook: device-image access for divergence assertions.
-  const Page& DevicePage(Address address) const {
-    return image_[static_cast<size_t>(address - 1)];
-  }
 
  private:
   int64_t num_pages_;

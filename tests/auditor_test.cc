@@ -207,8 +207,8 @@ TEST(Auditor, DetectsRecordSwapAcrossPageBoundary) {
   std::unique_ptr<Control2> c = MakeLoaded();
   const Address p = FirstLoadedPage(*c);
   const Address q = NextLoadedPageAfter(*c, p);
-  Page& lo_page = c->file().RawPage(p);
-  Page& hi_page = c->file().RawPage(q);
+  Page lo_page = c->file().Peek(p);
+  Page hi_page = c->file().Peek(q);
   const Record lo = lo_page.records().back();   // max of p
   const Record hi = hi_page.records().front();  // min of q
   ASSERT_LT(lo.key, hi.key);
@@ -216,6 +216,8 @@ TEST(Auditor, DetectsRecordSwapAcrossPageBoundary) {
   ASSERT_TRUE(hi_page.Erase(hi.key).ok());
   ASSERT_TRUE(lo_page.Insert(hi).ok());
   ASSERT_TRUE(hi_page.Insert(lo).ok());
+  ASSERT_TRUE(c->file().RawWrite(p, lo_page.records()).ok());
+  ASSERT_TRUE(c->file().RawWrite(q, hi_page.records()).ok());
 
   const AuditReport report = Auditor::AuditControl(*c);
   ASSERT_TRUE(report.Has(AuditViolationKind::kGlobalOrderViolation))

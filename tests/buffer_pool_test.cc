@@ -46,8 +46,7 @@ class BufferPoolTest : public ::testing::Test {
 
   // Seeds a device page directly (unaccounted), one record key=value=k.
   void SeedPage(Address address, Key k) {
-    file_.RawPage(address).Clear();
-    ASSERT_TRUE(file_.RawPage(address).Insert(Record{k, k}).ok());
+    ASSERT_TRUE(file_.RawWrite(address, std::vector<Record>{{k, k}}).ok());
   }
 
   PageFile file_;

@@ -1,4 +1,4 @@
-// Fault injection: damage a live file through the unaccounted RawPage
+// Fault injection: damage a live file through the unaccounted RawWrite
 // backdoor and verify that ValidateInvariants pinpoints each corruption
 // class — the defense the property tests rely on. Also exercises the
 // calibrator's own aggregate validator.
@@ -32,11 +32,22 @@ Address FirstLoadedPage(ControlBase& control) {
   return 1;
 }
 
+// Damages page `p` through the unaccounted raw write: `mutate` edits a
+// copy of the page, which then replaces the original.
+template <typename Mutate>
+void Damage(ControlBase& control, Address p, Mutate mutate) {
+  Page page = control.file().Peek(p);
+  mutate(page);
+  ASSERT_TRUE(control.file().RawWrite(p, page.records()).ok());
+}
+
 TEST(Corruption, DetectsOutOfOrderRecordsAcrossPages) {
   std::unique_ptr<Control2> c = MakeLoaded();
   const Address p = FirstLoadedPage(*c);
   // Plant a key larger than everything into the first loaded page.
-  ASSERT_TRUE(c->file().RawPage(p).Insert(Record{1u << 30, 0}).ok());
+  Damage(*c, p, [](Page& page) {
+    ASSERT_TRUE(page.Insert(Record{1u << 30, 0}).ok());
+  });
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
@@ -46,8 +57,9 @@ TEST(Corruption, DetectsStaleRankCounter) {
   std::unique_ptr<Control2> c = MakeLoaded();
   const Address p = FirstLoadedPage(*c);
   // Remove a record physically without telling the calibrator.
-  Page& page = c->file().RawPage(p);
-  ASSERT_TRUE(page.Erase(page.MinKey()).ok());
+  Damage(*c, p, [](Page& page) {
+    ASSERT_TRUE(page.Erase(page.MinKey()).ok());
+  });
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("rank counter"), std::string::npos) << s;
@@ -58,10 +70,11 @@ TEST(Corruption, DetectsStaleFenceKeys) {
   const Address p = FirstLoadedPage(*c);
   // Replace the page's max key with a nearby unused key: count stays the
   // same, order stays intact, but the cached fence is now wrong.
-  Page& page = c->file().RawPage(p);
-  const Key old_max = page.MaxKey();
-  ASSERT_TRUE(page.Erase(old_max).ok());
-  ASSERT_TRUE(page.Insert(Record{old_max + 1, 0}).ok());
+  Damage(*c, p, [](Page& page) {
+    const Key old_max = page.MaxKey();
+    ASSERT_TRUE(page.Erase(old_max).ok());
+    ASSERT_TRUE(page.Insert(Record{old_max + 1, 0}).ok());
+  });
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("fence"), std::string::npos) << s;
@@ -77,13 +90,14 @@ TEST(Corruption, DetectsPageOverflowBeyondD) {
   // Stuff one page past D = 15 using the physical slack slot, keeping the
   // calibrator in sync so only the density bound trips.
   const Address p = FirstLoadedPage(*c);
-  Page& page = c->file().RawPage(p);
-  std::vector<Record> contents = page.TakeAll();
-  Key k = contents.empty() ? 1 : contents.back().key;
-  while (static_cast<int64_t>(contents.size()) < 16) {
-    contents.push_back(Record{++k, 0});
-  }
-  page.AppendHigh(contents);
+  Damage(*c, p, [](Page& page) {
+    std::vector<Record> contents = page.TakeAll();
+    Key k = contents.empty() ? 1 : contents.back().key;
+    while (static_cast<int64_t>(contents.size()) < 16) {
+      contents.push_back(Record{++k, 0});
+    }
+    page.AppendHigh(contents);
+  });
   // (Do not SyncLeaf: both the stale-counter and overflow checks fire;
   // either way ValidateInvariants must fail.)
   EXPECT_FALSE(c->ValidateInvariants().ok());
@@ -100,12 +114,11 @@ TEST(Corruption, DetectsBrokenPrefixPackingInMacroBlocks) {
   ASSERT_TRUE(c->ValidateInvariants().ok());
   // Move the first page's records to a later page inside the same block,
   // breaking the packed-prefix layout.
-  Page& first = c->file().RawPage(1);
-  std::vector<Record> moved = first.TakeAll();
+  const std::vector<Record> moved = c->file().Peek(1).records();
   ASSERT_FALSE(moved.empty());
-  Page& hole_breaker = c->file().RawPage(8);
-  ASSERT_TRUE(hole_breaker.empty());
-  hole_breaker.AppendHigh(moved);
+  ASSERT_TRUE(c->file().Peek(8).empty());
+  ASSERT_TRUE(c->file().RawWrite(8, moved).ok());
+  ASSERT_TRUE(c->file().RawWrite(1, {}).ok());
   const Status s = c->ValidateInvariants();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);

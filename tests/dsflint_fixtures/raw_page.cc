@@ -1,15 +1,15 @@
-// dsflint fixture: raw page access outside the storage layer. Never
-// compiled — lint fodder only.
+// dsflint fixture: unaccounted page write outside the storage layer.
+// Never compiled — lint fodder only.
 
 namespace fixture {
 
 class PageFileLike {
  public:
-  char* RawPage(int page_index);
+  int RawWrite(int page_index);
 };
 
 void Touch(PageFileLike& pf) {
-  pf.RawPage(0);  // SEEDED VIOLATION: raw-page-io (line 12)
+  pf.RawWrite(0);  // SEEDED VIOLATION: raw-page-io (line 12)
 }
 
 }  // namespace fixture

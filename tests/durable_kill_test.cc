@@ -15,7 +15,7 @@
 // lockstep.
 //
 // Kill points are scheduled at write counts recorded from a clean run:
-// EndCommand flushes the pending slot and issues an fdatasync, so the
+// every device write is issued before EndCommand's fdatasync, so the
 // cumulative pwrite count at each op boundary is exact and deterministic.
 // Points below W0 (the BulkLoad watermark) are skipped — a file killed
 // mid-bulk-load never promised anything; the per-command crash contract
@@ -136,8 +136,8 @@ Workload MakeWorkload() {
 }
 
 // Clean run: cumulative physical pwrites at BulkLoad and at every op
-// boundary. Exact because EndCommand flushes the pending slot and syncs
-// before returning.
+// boundary. Exact because every device write of a command is issued, and
+// synced, before EndCommand returns.
 struct WriteSchedule {
   int64_t after_load = 0;              // W0
   std::vector<int64_t> after_op;       // cumulative, one per trace op

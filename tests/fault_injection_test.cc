@@ -97,46 +97,48 @@ TEST(FaultPolicy, ResetForgetsEverything) {
   EXPECT_EQ(policy.faults_injected(), 0);
 }
 
-TEST(PageFileFaults, TryReadSurfacesInjectedFault) {
+TEST(PageFileFaults, ReadSurfacesInjectedFault) {
   PageFile file(4, 4);
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailNthAccess(1);
   file.set_fault_policy(policy);
-  StatusOr<const Page*> page = file.TryRead(2);
-  EXPECT_TRUE(page.status().IsIoError());
+  std::vector<Record> out;
+  EXPECT_TRUE(file.Read(2, &out).IsIoError());
   // The faulted access was still charged — attempted work is real work.
   EXPECT_EQ(file.stats().TotalAccesses(), 1);
   // The schedule is exhausted; the retry succeeds.
-  EXPECT_TRUE(file.TryRead(2).ok());
+  EXPECT_TRUE(file.Read(2, &out).ok());
   EXPECT_EQ(file.stats().TotalAccesses(), 2);
 }
 
-TEST(PageFileFaults, TryWriteLeavesPageUntouchedOnFault) {
+TEST(PageFileFaults, WriteLeavesPageUntouchedOnFault) {
   PageFile file(4, 4);
-  file.RawPage(1).AppendHigh({Record{10, 10}});
+  ASSERT_TRUE(file.RawWrite(1, std::vector<Record>{{10, 10}}).ok());
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailAddressRange(1, 1, /*writes_only=*/true);
   file.set_fault_policy(policy);
-  EXPECT_TRUE(file.TryWrite(1).status().IsIoError());
+  EXPECT_TRUE(file.Write(1, {}).IsIoError());
   EXPECT_EQ(file.Peek(1).size(), 1u);
   EXPECT_EQ(file.Peek(1).MinKey(), 10u);
 }
 
 TEST(PageFileFaults, BadAddressIsOutOfRangeNotAbort) {
   PageFile file(4, 4);
-  EXPECT_EQ(file.TryRead(0).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(file.TryRead(5).status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(file.TryWrite(0).status().code(), StatusCode::kOutOfRange);
+  std::vector<Record> out;
+  EXPECT_EQ(file.Read(0, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(file.Read(5, &out).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(file.Write(0, {}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(file.RawWrite(5, {}).code(), StatusCode::kOutOfRange);
 }
 
-TEST(PageFileFaults, PeekAndRawPageAreFaultImmune) {
+TEST(PageFileFaults, PeekAndRawWriteAreFaultImmune) {
   PageFile file(4, 4);
   auto policy = std::make_shared<FaultPolicy>();
   policy->CrashAfterAccesses(0);
   file.set_fault_policy(policy);
   // Unaccounted accessors bypass both accounting and the fault schedule:
   // they model offline recovery inspecting the device.
-  file.RawPage(3).AppendHigh({Record{7, 7}});
+  ASSERT_TRUE(file.RawWrite(3, std::vector<Record>{{7, 7}}).ok());
   EXPECT_EQ(file.Peek(3).size(), 1u);
   EXPECT_EQ(policy->accesses_seen(), 0);
 }

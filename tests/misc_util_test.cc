@@ -62,7 +62,7 @@ TEST(CheckDeathTest, PageFileRangeAborts) {
   EXPECT_DEATH(
       {
         PageFile f(4, 4);
-        f.Read(5);
+        (void)f.Peek(5);
       },
       "outside");
 }

@@ -448,9 +448,10 @@ TEST(ObsWiringTest, SimTimeHasOneSourceOfTruth) {
   // sim_elapsed_ns — the same number the real sleep consumes.
   PageFile file(/*num_pages=*/16, /*page_capacity=*/4);
   file.set_access_latency(std::chrono::nanoseconds(100));
-  ASSERT_TRUE(file.TryRead(1).ok());
-  ASSERT_TRUE(file.TryRead(2).ok());
-  ASSERT_TRUE(file.TryWrite(10).ok());
+  std::vector<Record> out;
+  ASSERT_TRUE(file.Read(1, &out).ok());
+  ASSERT_TRUE(file.Read(2, &out).ok());
+  ASSERT_TRUE(file.Write(10, {}).ok());
   EXPECT_EQ(file.stats().TotalAccesses(), 3);
   EXPECT_EQ(file.stats().sim_elapsed_ns, 300);
 
@@ -462,10 +463,10 @@ TEST(ObsWiringTest, SimTimeHasOneSourceOfTruth) {
   model.seek_ms = 2.0;
   model.transfer_ms = 1.0;
   modeled.set_disk_model(model);  // accounting only, no real sleep
-  ASSERT_TRUE(modeled.TryRead(5).ok());  // first access: seek
-  ASSERT_TRUE(modeled.TryRead(6).ok());  // adjacent: sequential
-  ASSERT_TRUE(modeled.TryRead(7).ok());  // adjacent: sequential
-  ASSERT_TRUE(modeled.TryRead(1).ok());  // jump: seek
+  ASSERT_TRUE(modeled.Read(5, &out).ok());  // first access: seek
+  ASSERT_TRUE(modeled.Read(6, &out).ok());  // adjacent: sequential
+  ASSERT_TRUE(modeled.Read(7, &out).ok());  // adjacent: sequential
+  ASSERT_TRUE(modeled.Read(1, &out).ok());  // jump: seek
   EXPECT_EQ(modeled.stats().seeks, 2);
   EXPECT_EQ(modeled.stats().sequential_accesses, 2);
   EXPECT_EQ(modeled.stats().sim_elapsed_ns,

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "storage/disk_model.h"
 
 namespace dsf {
 namespace {
+
+// Accounted access whose content the test does not care about.
+void Read(PageFile& f, Address a) {
+  std::vector<Record> out;
+  ASSERT_TRUE(f.Read(a, &out).ok());
+}
+void Write(PageFile& f, Address a) { ASSERT_TRUE(f.Write(a, {}).ok()); }
 
 TEST(PageFile, ConstructsEmptyPages) {
   PageFile f(4, 8);
@@ -21,40 +29,56 @@ TEST(PageFile, ConstructsEmptyPages) {
 
 TEST(PageFile, ReadAndWriteAreAccounted) {
   PageFile f(4, 8);
-  f.Read(1);
-  f.Read(2);
-  f.Write(3);
+  Read(f, 1);
+  Read(f, 2);
+  Write(f, 3);
   EXPECT_EQ(f.stats().page_reads, 2);
   EXPECT_EQ(f.stats().page_writes, 1);
   EXPECT_EQ(f.stats().TotalAccesses(), 3);
 }
 
-TEST(PageFile, PeekAndRawPageAreFree) {
+TEST(PageFile, PeekAndRawWriteAreFree) {
   PageFile f(4, 8);
   f.Peek(1);
-  f.RawPage(2);
+  ASSERT_TRUE(f.RawWrite(2, {}).ok());
   EXPECT_EQ(f.stats().TotalAccesses(), 0);
+}
+
+TEST(PageFile, WriteReplacesAndReadAppends) {
+  PageFile f(4, 8);
+  const std::vector<Record> records = {{1, 10}, {5, 50}};
+  ASSERT_TRUE(f.Write(2, records).ok());
+  EXPECT_EQ(f.Peek(2).records(), records);
+  std::vector<Record> out = {{0, 0}};
+  ASSERT_TRUE(f.Read(2, &out).ok());
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2], (Record{5, 50}));
+  ASSERT_TRUE(f.Write(2, std::vector<Record>{{7, 70}}).ok());
+  EXPECT_EQ(f.Peek(2).size(), 1);
+  Page page(8);
+  ASSERT_TRUE(f.DeviceRead(2, &page).ok());
+  EXPECT_EQ(page.MinKey(), 7u);
 }
 
 TEST(PageFile, SeekVersusSequentialClassification) {
   PageFile f(10, 4);
-  f.Read(5);   // first access: seek
-  f.Read(6);   // adjacent: sequential
-  f.Read(6);   // same: sequential
-  f.Read(5);   // adjacent (backward): sequential
-  f.Read(9);   // jump: seek
-  f.Write(9);  // same: sequential
+  Read(f, 5);   // first access: seek
+  Read(f, 6);   // adjacent: sequential
+  Read(f, 6);   // same: sequential
+  Read(f, 5);   // adjacent (backward): sequential
+  Read(f, 9);   // jump: seek
+  Write(f, 9);  // same: sequential
   EXPECT_EQ(f.stats().seeks, 2);
   EXPECT_EQ(f.stats().sequential_accesses, 4);
 }
 
 TEST(PageFile, ResetStatsClearsAndRestartsSeekTracking) {
   PageFile f(4, 4);
-  f.Read(1);
-  f.Read(2);
+  Read(f, 1);
+  Read(f, 2);
   f.ResetStats();
   EXPECT_EQ(f.stats().TotalAccesses(), 0);
-  f.Read(3);  // first access after reset counts as a seek again
+  Read(f, 3);  // first access after reset counts as a seek again
   EXPECT_EQ(f.stats().seeks, 1);
 }
 
@@ -62,15 +86,16 @@ TEST(PageFile, LogicalAndPhysicalCountersSplit) {
   PageFile f(8, 4);
   // The classic accessors charge both sides (an unpooled caller always
   // pays the device)...
-  ASSERT_TRUE(f.TryRead(1).ok());
-  ASSERT_TRUE(f.TryWrite(2).ok());
+  Read(f, 1);
+  Write(f, 2);
   EXPECT_EQ(f.stats().logical_reads, 1);
   EXPECT_EQ(f.stats().logical_writes, 1);
   EXPECT_EQ(f.stats().page_reads, 1);
   EXPECT_EQ(f.stats().page_writes, 1);
   // ...the pool's device accessors charge physical only...
-  ASSERT_TRUE(f.TryDeviceRead(3).ok());
-  ASSERT_TRUE(f.TryDeviceWrite(4).ok());
+  Page page(4);
+  ASSERT_TRUE(f.DeviceRead(3, &page).ok());
+  ASSERT_TRUE(f.DeviceWrite(4, page).ok());
   EXPECT_EQ(f.stats().page_reads, 2);
   EXPECT_EQ(f.stats().page_writes, 2);
   EXPECT_EQ(f.stats().TotalLogical(), 2);
@@ -87,12 +112,13 @@ TEST(PageFile, FaultAndLatencyStillFireAfterSlowPathToggling) {
   PageFile f(8, 4);
   auto policy = std::make_shared<FaultPolicy>();
   policy->FailAddressRange(2, 2);
+  std::vector<Record> out;
   f.set_fault_policy(policy);
-  EXPECT_FALSE(f.TryRead(2).ok());
+  EXPECT_FALSE(f.Read(2, &out).ok());
   f.set_fault_policy(nullptr);
-  EXPECT_TRUE(f.TryRead(2).ok());
+  EXPECT_TRUE(f.Read(2, &out).ok());
   f.set_fault_policy(policy);
-  EXPECT_FALSE(f.TryWrite(2).ok());
+  EXPECT_FALSE(f.Write(2, {}).ok());
   // Faulted accesses were still charged (attempted-access accounting).
   EXPECT_EQ(f.stats().TotalAccesses(), 3);
 }
@@ -104,11 +130,11 @@ TEST(PageFile, FaultAndLatencyStillFireAfterSlowPathToggling) {
 TEST(PageFile, SequentialRunsSurviveCrossFileInterleaving) {
   PageFile a(16, 4);
   PageFile b(16, 4);
-  a.Read(7);   // seek (first access on a)
-  b.Read(13);  // far-away traffic on the other device
-  a.Read(8);   // sequential on a, despite b's access in between
-  b.Read(2);
-  a.Read(9);    // still sequential on a
+  Read(a, 7);   // seek (first access on a)
+  Read(b, 13);  // far-away traffic on the other device
+  Read(a, 8);   // sequential on a, despite b's access in between
+  Read(b, 2);
+  Read(a, 9);    // still sequential on a
   EXPECT_EQ(a.stats().seeks, 1);
   EXPECT_EQ(a.stats().sequential_accesses, 2);
   EXPECT_EQ(b.stats().seeks, 2);  // 13 then 2: both arm movements
@@ -116,25 +142,24 @@ TEST(PageFile, SequentialRunsSurviveCrossFileInterleaving) {
 
 TEST(PageFile, GloballyOrderedAcceptsGapsAndOrder) {
   PageFile f(4, 4);
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{1, 0}).ok());
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{5, 0}).ok());
+  ASSERT_TRUE(f.RawWrite(1, std::vector<Record>{{1, 0}, {5, 0}}).ok());
   // page 2 left empty
-  ASSERT_TRUE(f.RawPage(3).Insert(Record{7, 0}).ok());
+  ASSERT_TRUE(f.RawWrite(3, std::vector<Record>{{7, 0}}).ok());
   EXPECT_TRUE(f.GloballyOrdered());
   EXPECT_EQ(f.TotalRecords(), 3);
 }
 
 TEST(PageFile, GloballyOrderedRejectsInversionAcrossPages) {
   PageFile f(3, 4);
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{10, 0}).ok());
-  ASSERT_TRUE(f.RawPage(2).Insert(Record{3, 0}).ok());
+  ASSERT_TRUE(f.RawWrite(1, std::vector<Record>{{10, 0}}).ok());
+  ASSERT_TRUE(f.RawWrite(2, std::vector<Record>{{3, 0}}).ok());
   EXPECT_FALSE(f.GloballyOrdered());
 }
 
 TEST(PageFile, GloballyOrderedRejectsEqualBoundaryKeys) {
   PageFile f(3, 4);
-  ASSERT_TRUE(f.RawPage(1).Insert(Record{10, 0}).ok());
-  ASSERT_TRUE(f.RawPage(2).Insert(Record{10, 1}).ok());
+  ASSERT_TRUE(f.RawWrite(1, std::vector<Record>{{10, 0}}).ok());
+  ASSERT_TRUE(f.RawWrite(2, std::vector<Record>{{10, 1}}).ok());
   EXPECT_FALSE(f.GloballyOrdered());
 }
 

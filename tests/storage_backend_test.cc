@@ -1,7 +1,9 @@
 // StorageBackend / FileBackend coverage: CRC32C vectors, differential
 // replay parity between the in-memory simulation and the durable file
 // backend, reopen round-trips through DenseFile::Open, superblock
-// version rejection, and torn-page (CRC) handling.
+// version rejection, torn-page (CRC) handling, the device-read shape of
+// a file with no in-memory page image, and device errors (failed
+// writes and barriers) surfacing as typed Status.
 
 #include <cstdint>
 #include <memory>
@@ -15,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "shard/sharded_dense_file.h"
 #include "storage/file_backend.h"
+#include "storage/page_file.h"
 #include "storage/storage_backend.h"
 #include "util/crc32c.h"
 #include "util/random.h"
@@ -292,6 +295,35 @@ TEST(FileBackendReopen, RejectsGeometryMismatch) {
   EXPECT_TRUE(DenseFile::Open(options).status().code() == StatusCode::kFailedPrecondition);
 }
 
+TEST(FileBackendReopen, RejectedCreateLeavesDataUntouched) {
+  const Workload w = MakeWorkload();
+  ScopedTempDir dir("dsf-rejected-create");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  std::vector<Record> expected;
+  {
+    DenseFile::Options options = BaseOptions();
+    options.backend_factory = FileBackend::CreateFactory(fb);
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    Replay(*file, w);
+    expected = *file->ScanAll();
+  }
+  // D - d = 14 fails CONTROL 2's gap condition 14 > 3*ceil(log 32) at
+  // block_size 1. The rejection must come before the factory runs, since
+  // creating the file pair truncates it.
+  DenseFile::Options rejected = BaseOptions();
+  rejected.D = 18;
+  rejected.block_size = 1;
+  rejected.backend_factory = FileBackend::CreateFactory(fb);
+  EXPECT_TRUE(DenseFile::Create(rejected).status().IsInvalidArgument());
+
+  DenseFile::Options options = BaseOptions();
+  options.backend_factory = FileBackend::OpenFactory(fb);
+  StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(*(*reopened)->ScanAll(), expected);
+}
+
 TEST(FileBackendReopen, RejectsBadMagic) {
   ScopedTempDir dir("dsf-magic");
   FileBackend::Options fb;
@@ -307,7 +339,7 @@ TEST(FileBackendReopen, RejectsBadMagic) {
 // ---------------------------------------------------------------------
 // Torn / corrupt pages
 
-TEST(FileBackendCorruption, ReadPageReturnsTypedIoError) {
+TEST(FileBackendCorruption, ReadPageReturnsTypedCorruption) {
   ScopedTempDir dir("dsf-crc");
   FileBackend::Options fb;
   fb.directory = dir.path();
@@ -324,7 +356,7 @@ TEST(FileBackendCorruption, ReadPageReturnsTypedIoError) {
 
   ASSERT_TRUE(backend->CorruptPageForTesting(3).ok());
   const Status corrupt = backend->ReadPage(3, &out);
-  EXPECT_TRUE(corrupt.IsIoError()) << corrupt;
+  EXPECT_TRUE(corrupt.IsCorruption()) << corrupt;
   EXPECT_TRUE(out.empty());  // a corrupt slot never leaks partial records
   EXPECT_GE(backend->stats().crc_failures, 1);
   // Untouched pages still read fine; an empty (hole) slot is valid.
@@ -391,6 +423,183 @@ TEST(FileBackendCorruption, OpenRepairsAroundCorruptPage) {
     EXPECT_TRUE((*again)->corrupt_pages_at_open().empty());
     EXPECT_EQ(*(*again)->ScanAll(), survivors);
   }
+}
+
+// ---------------------------------------------------------------------
+// Device-read shape: with no in-memory page image, every page the
+// library looks at is a pread, so the count is the cost model's.
+
+DenseFile::Options UnauditedOptions() {
+  DenseFile::Options options = BaseOptions();
+  options.audit_every_command = false;  // the auditor's reads are extra
+  return options;
+}
+
+TEST(FileBackendDeviceReads, CreateAndBulkLoadIssueNoReads) {
+  ScopedTempDir dir("dsf-reads-create");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  DenseFile::Options options = UnauditedOptions();
+  options.backend_factory = FileBackend::CreateFactory(fb);
+  std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+  ASSERT_TRUE(file->BulkLoad(MakeWorkload().initial).ok());
+  const FileBackend::Stats stats =
+      static_cast<FileBackend*>(file->storage_backend())->stats();
+  EXPECT_EQ(stats.preads, 0);
+  EXPECT_EQ(stats.pwrites, options.num_pages);  // the layout, once
+}
+
+TEST(FileBackendDeviceReads, CleanOpenReadsEachPageOnce) {
+  const Workload w = MakeWorkload();
+  ScopedTempDir dir("dsf-reads-open");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  std::vector<Record> expected;
+  {
+    DenseFile::Options options = UnauditedOptions();
+    options.backend_factory = FileBackend::CreateFactory(fb);
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    Replay(*file, w);
+    expected = *file->ScanAll();
+  }
+  DenseFile::Options options = UnauditedOptions();
+  options.backend_factory = FileBackend::OpenFactory(fb);
+  StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_FALSE((*reopened)->open_repair_report().rewrote_file);
+  EXPECT_EQ(
+      static_cast<FileBackend*>((*reopened)->storage_backend())->stats().preads,
+      options.num_pages);
+  EXPECT_EQ(*(*reopened)->ScanAll(), expected);
+}
+
+TEST(FileBackendDeviceReads, UnpooledReplayPreadsEqualPageReads) {
+  const Workload w = MakeWorkload();
+  ScopedTempDir dir("dsf-reads-replay");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  DenseFile::Options options = UnauditedOptions();
+  options.backend_factory = FileBackend::CreateFactory(fb);
+  std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+  Replay(*file, w);
+  const IoStats io = file->io_stats();
+  EXPECT_GT(io.page_reads, 0);
+  EXPECT_EQ(
+      static_cast<FileBackend*>(file->storage_backend())->stats().preads,
+      io.page_reads);
+}
+
+// ---------------------------------------------------------------------
+// Device errors: a failing backend surfaces as a typed Status, never an
+// abort, and a failed barrier is never retried into a false success.
+
+// A MemoryBackend whose writes start failing after a budget, whose
+// next `syncs_to_fail` barriers fail, and whose reads of
+// `failing_read_page` fail like a syscall error (not a checksum).
+class FlakyBackend : public MemoryBackend {
+ public:
+  using MemoryBackend::MemoryBackend;
+
+  Status ReadPage(Address address, Page* out) override {
+    if (address == failing_read_page) {
+      out->Clear();
+      return Status::IoError("injected read EIO");
+    }
+    return MemoryBackend::ReadPage(address, out);
+  }
+  Status WritePage(Address address, const Page& page) override {
+    if (writes_before_failure == 0) return Status::IoError("injected EIO");
+    if (writes_before_failure > 0) --writes_before_failure;
+    return MemoryBackend::WritePage(address, page);
+  }
+  Status SyncBarrier() override {
+    ++sync_calls;
+    if (syncs_to_fail > 0) {
+      --syncs_to_fail;
+      return Status::IoError("injected fdatasync failure");
+    }
+    return Status::OK();
+  }
+
+  int64_t writes_before_failure = -1;  // -1: never fail
+  int64_t syncs_to_fail = 0;
+  int64_t sync_calls = 0;
+  Address failing_read_page = 0;  // 0: every read succeeds
+};
+
+TEST(DeviceErrors, FailedBarrierIsSticky) {
+  auto owned = std::make_unique<FlakyBackend>(8, 4);
+  FlakyBackend* backend = owned.get();
+  backend->syncs_to_fail = 1;
+  PageFile file(8, 4, std::move(owned));
+  const std::vector<Record> records = {{1, 1}, {2, 2}};
+  ASSERT_TRUE(file.Write(1, records).ok());
+  EXPECT_TRUE(file.SyncBarrier().IsIoError());
+  // The kernel may already have dropped the unsynced page, so a retried
+  // barrier that succeeds would claim durability the device lacks.
+  EXPECT_TRUE(file.SyncBarrier().IsIoError());
+  EXPECT_TRUE(file.Write(2, records).IsIoError());
+  EXPECT_TRUE(file.RawWrite(2, records).IsIoError());
+  EXPECT_EQ(backend->sync_calls, 1);  // never retried
+  std::vector<Record> out;
+  EXPECT_TRUE(file.Read(1, &out).ok());  // reads still serve
+}
+
+TEST(DeviceErrors, FailedBarrierFailsEveryLaterCommand) {
+  FlakyBackend* flaky = nullptr;
+  DenseFile::Options options = UnauditedOptions();
+  options.backend_factory = [&flaky](int64_t num_pages, int64_t page_capacity)
+      -> StatusOr<std::unique_ptr<StorageBackend>> {
+    auto backend = std::make_unique<FlakyBackend>(num_pages, page_capacity);
+    flaky = backend.get();
+    return std::unique_ptr<StorageBackend>(std::move(backend));
+  };
+  std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+  ASSERT_TRUE(file->BulkLoad(MakeWorkload().initial).ok());
+  flaky->syncs_to_fail = 1;
+  EXPECT_TRUE(file->Insert(Record{5, 5}).IsIoError());
+  EXPECT_TRUE(file->Insert(Record{7, 7}).IsIoError());
+  EXPECT_TRUE(file->Flush().IsIoError());
+}
+
+TEST(DeviceErrors, RepairKeepsRecordsOnReadError) {
+  FlakyBackend* flaky = nullptr;
+  DenseFile::Options options = UnauditedOptions();
+  options.backend_factory = [&flaky](int64_t num_pages, int64_t page_capacity)
+      -> StatusOr<std::unique_ptr<StorageBackend>> {
+    auto backend = std::make_unique<FlakyBackend>(num_pages, page_capacity);
+    flaky = backend.get();
+    return std::unique_ptr<StorageBackend>(std::move(backend));
+  };
+  std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+  const std::vector<Record> initial = MakeWorkload().initial;
+  ASSERT_TRUE(file->BulkLoad(initial).ok());
+  ASSERT_FALSE(file->control().file().Peek(1).empty());
+
+  // A failed read says nothing about the slot's content, so repair
+  // returns the error instead of quarantining page 1 as corrupt.
+  flaky->failing_read_page = 1;
+  EXPECT_TRUE(file->CheckAndRepair().status().IsIoError());
+  EXPECT_TRUE(file->ValidateInvariants().IsIoError());
+
+  flaky->failing_read_page = 0;
+  StatusOr<RepairReport> report = file->CheckAndRepair();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->corrupt_pages.empty());
+  EXPECT_FALSE(report->rewrote_file);
+  EXPECT_EQ(*file->ScanAll(), initial);
+}
+
+TEST(DeviceErrors, BulkLoadReturnsWriteErrorInsteadOfAborting) {
+  DenseFile::Options options = UnauditedOptions();
+  options.backend_factory = [](int64_t num_pages, int64_t page_capacity)
+      -> StatusOr<std::unique_ptr<StorageBackend>> {
+    auto backend = std::make_unique<FlakyBackend>(num_pages, page_capacity);
+    backend->writes_before_failure = 5;
+    return std::unique_ptr<StorageBackend>(std::move(backend));
+  };
+  std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+  EXPECT_TRUE(file->BulkLoad(MakeWorkload().initial).IsIoError());
 }
 
 // ---------------------------------------------------------------------

@@ -144,7 +144,7 @@ TEST_F(PoolResizeTest, ShrinkFlushesDirtyVictims) {
   // device before the tail frames were dropped.
   EXPECT_GE(file_.stats().page_writes, 4);
   for (Address a = 5; a <= 8; ++a) {
-    EXPECT_EQ(file_.RawPage(a).MinKey(), Key{10 * a});
+    EXPECT_EQ(file_.Peek(a).MinKey(), static_cast<Key>(10 * a));
   }
 }
 

@@ -931,14 +931,15 @@ void Engine::TokenRules(int file_index) {
     const Token& tok = t[i];
     if (!IsIdent(tok)) continue;
 
-    // raw-page-io: `.RawPage(` outside the storage layer.
-    if (strict && RuleEnabled("raw-page-io") && tok.text == "RawPage" &&
+    // raw-page-io: `.RawWrite(` — the unaccounted device write — outside
+    // the storage layer.
+    if (strict && RuleEnabled("raw-page-io") && tok.text == "RawWrite" &&
         i >= 1 && (Is(t[i - 1], ".") || Is(t[i - 1], "->")) &&
         i + 1 < t.size() && Is(t[i + 1], "(") &&
         !PathContainsAny(f.path, options_.raw_page_dirs)) {
       Add(RuleKind::kRawPageIo, f, tok.line,
-          "raw page access outside the storage layer; go through the "
-          "PageFile read/write API");
+          "unaccounted page write outside the storage layer; go through "
+          "the accounted PageFile read/write API");
     }
 
     // raw-syscall-io: a file-I/O syscall called as a free function

@@ -43,8 +43,8 @@ struct AnalyzerOptions {
   // rules. metric-catalog is enforced over every scanned file.
   std::vector<std::string> strict_dirs = {"src/", "tools/"};
 
-  // RawPage confinement: paths containing one of these are the storage
-  // layer and may touch raw pages.
+  // RawWrite confinement: paths containing one of these are the storage
+  // layer and may write pages unaccounted.
   std::vector<std::string> raw_page_dirs = {"src/storage/"};
 
   // Raw-syscall confinement: only the durable backend (and the temp-dir

@@ -6,7 +6,7 @@
 // discipline gate that runs *everywhere the code compiles*. What the
 // rules need is not a full parse — it is a faithful token stream
 // (comments, string literals and preprocessor text stripped, so a
-// ".RawPage(" inside a string can never fire the raw-page-io rule
+// ".RawWrite(" inside a string can never fire the raw-page-io rule
 // again) plus enough structure to track scopes, which analyzer.cc
 // layers on top.
 //

@@ -31,7 +31,8 @@ enum class RuleKind {
   kStaleMetricConstant,
   // A SpanKind enumerator missing from a SpanKindToString exporter body.
   kUnhandledSpanKind,
-  // PageFile::RawPage called outside the storage layer.
+  // PageFile::RawWrite (the unaccounted write) called outside the
+  // storage layer.
   kRawPageIo,
   // A raw I/O syscall (open/pread/pwrite/fsync/...) outside the durable
   // storage backend.
