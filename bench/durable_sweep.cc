@@ -10,9 +10,13 @@
 // reads/writes, seeks) must be identical across every row: the backend
 // is a durability layer UNDER the cost model, not a change to it — the
 // differential parity tests enforce the same invariant; here it is
-// printed so a regression is visible in the artifact. Each row is the
-// median wall time of kReps runs; the artifact records the host, the
-// build type and the repetition count. Tracked in BENCH_durable.json.
+// printed so a regression is visible in the artifact. Each file row also
+// times the two whole-file passes outside the replay: load_s (Create +
+// BulkLoad, the layout written in runs of slots) and open_s (closing the
+// file and timing DenseFile::Open, whose check pass reads in runs). Each
+// row is the median of kReps runs (wall time, load_s and open_s each);
+// the artifact records the host, the build type and the repetition
+// count. Tracked in BENCH_durable.json.
 //
 // O_DIRECT is attempted, not demanded: on filesystems without support
 // (notably tmpfs, which CI points TMPDIR at) the backend falls back to
@@ -60,6 +64,8 @@ struct Row {
   std::string label;
   std::string backend_name;  // what actually ran (O_DIRECT may fall back)
   double wall_seconds = 0;
+  double load_seconds = 0;  // Create + BulkLoad
+  double open_seconds = 0;  // DenseFile::Open; file rows only
   double ops_per_second = 0;
   double slowdown_vs_simulated = 1.0;
   IoStats io;
@@ -90,12 +96,11 @@ Row RunConfig(const Config& config, const Trace& trace, int64_t num_pages,
   options.d = 8;
   options.D = 36;  // same geometry as the cache sweep (E16)
 
-  std::string dir;
+  FileBackend::Options fb;
   if (config.use_file) {
-    dir = base_dir + "/" + config.label;
+    const std::string dir = base_dir + "/" + config.label;
     DSF_CHECK(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST)
         << "mkdir " << dir;
-    FileBackend::Options fb;
     fb.directory = dir;
     fb.direct_io = config.direct_io;
     options.backend_factory = FileBackend::CreateFactory(fb);
@@ -107,17 +112,26 @@ Row RunConfig(const Config& config, const Trace& trace, int64_t num_pages,
     };
   }
 
-  StatusOr<std::unique_ptr<DenseFile>> created = DenseFile::Create(options);
-  DSF_CHECK(created.ok()) << created.status();
-  DenseFile& file = **created;
-
-  const Key key_space = static_cast<Key>(file.capacity());
+  // The load's records depend only on the geometry, so build them
+  // before the clock starts.
+  const Key key_space = static_cast<Key>(num_pages * options.d);
   std::vector<Record> initial;
   const int64_t skip = std::max<int64_t>(2, 100 / (100 - fill_percent));
   for (Key k = 1; k <= key_space; ++k) {
     if (static_cast<int64_t>(k % skip) != 0) initial.push_back(Record{k, k});
   }
+
+  Row row;
+  const auto load_start = std::chrono::steady_clock::now();
+  StatusOr<std::unique_ptr<DenseFile>> created = DenseFile::Create(options);
+  DSF_CHECK(created.ok()) << created.status();
+  std::unique_ptr<DenseFile> owned = std::move(created).value();
+  DenseFile& file = *owned;
+  DSF_CHECK(static_cast<Key>(file.capacity()) == key_space);
   DSF_CHECK(file.BulkLoad(initial).ok());
+  row.load_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - load_start)
+                         .count();
   file.ResetIoStats();
 
   const auto start = std::chrono::steady_clock::now();
@@ -127,7 +141,6 @@ Row RunConfig(const Config& config, const Trace& trace, int64_t num_pages,
   }
   const auto end = std::chrono::steady_clock::now();
 
-  Row row;
   row.label = config.label;
   row.backend_name =
       file.storage_backend() == nullptr ? "simulated"
@@ -142,6 +155,18 @@ Row RunConfig(const Config& config, const Trace& trace, int64_t num_pages,
   }
   // After the counters: validation reads every page (M more preads).
   DSF_CHECK(file.ValidateInvariants().ok());
+
+  if (config.use_file) {
+    DSF_CHECK(file.Flush().ok());
+    owned.reset();  // close the pair
+    options.backend_factory = FileBackend::OpenFactory(fb);
+    const auto open_start = std::chrono::steady_clock::now();
+    StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+    row.open_seconds = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - open_start)
+                           .count();
+    DSF_CHECK(reopened.ok()) << reopened.status();
+  }
   return row;
 }
 
@@ -151,21 +176,30 @@ std::string HostName() {
   return name;
 }
 
-// Runs per config; each row reports the median wall time.
+// Runs per config; each row reports median times.
 constexpr int64_t kReps = 3;
 
-// The median wall time over kReps runs of one config; the accounting
-// of every run is identical, so the row keeps the last run's counters.
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// The median wall, load and open times over kReps runs of one config;
+// the accounting of every run is identical, so the row keeps the last
+// run's counters.
 Row RunMedian(const Config& config, const Trace& trace, int64_t num_pages,
               int64_t fill_percent, const std::string& base_dir) {
-  std::vector<double> walls;
+  std::vector<double> walls, loads, opens;
   Row row;
   for (int64_t r = 0; r < kReps; ++r) {
     row = RunConfig(config, trace, num_pages, fill_percent, base_dir);
     walls.push_back(row.wall_seconds);
+    loads.push_back(row.load_seconds);
+    opens.push_back(row.open_seconds);
   }
-  std::sort(walls.begin(), walls.end());
-  row.wall_seconds = walls[walls.size() / 2];
+  row.wall_seconds = Median(walls);
+  row.load_seconds = Median(loads);
+  row.open_seconds = Median(opens);
   row.ops_per_second = static_cast<double>(trace.size()) / row.wall_seconds;
   return row;
 }
@@ -194,6 +228,13 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
     os << "    {\"label\": \"" << r.label << "\""
        << ", \"backend\": \"" << r.backend_name << "\""
        << ", \"wall_seconds\": " << r.wall_seconds
+       << ", \"load_s\": " << r.load_seconds;
+    if (r.has_file_stats) {
+      os << ", \"open_s\": " << r.open_seconds;
+    } else {
+      os << ", \"open_s\": null";
+    }
+    os
        << ", \"ops_per_second\": " << r.ops_per_second
        << ", \"slowdown_vs_simulated\": " << r.slowdown_vs_simulated
        << ", \"logical_reads\": " << r.io.logical_reads
@@ -203,6 +244,10 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
        << ", \"seeks\": " << r.io.seeks
        << ", \"preads\": " << (r.has_file_stats ? r.file_stats.preads : 0)
        << ", \"pwrites\": " << (r.has_file_stats ? r.file_stats.pwrites : 0)
+       << ", \"read_syscalls\": "
+       << (r.has_file_stats ? r.file_stats.read_syscalls : 0)
+       << ", \"write_syscalls\": "
+       << (r.has_file_stats ? r.file_stats.write_syscalls : 0)
        << ", \"syncs\": " << (r.has_file_stats ? r.file_stats.syncs : 0)
        << ", \"direct_active\": "
        << (r.has_file_stats && r.file_stats.direct_active ? "true" : "false")
@@ -256,7 +301,7 @@ int Main(int argc, char** argv) {
 
   bench::Section("E21: storage backend cost (simulated vs durable file)");
   bench::Table table({"config", "backend", "wall s", "Kops/s", "slowdown",
-                      "preads", "pwrites", "syncs"});
+                      "load ms", "open ms", "preads", "pwrites", "syncs"});
   std::vector<Row> rows;
   double simulated_ops_per_second = 0;
   for (const Config& config : configs) {
@@ -268,6 +313,7 @@ int Main(int argc, char** argv) {
         simulated_ops_per_second / row.ops_per_second;
     table.Row(row.label, row.backend_name, row.wall_seconds,
               row.ops_per_second * 1e-3, row.slowdown_vs_simulated,
+              row.load_seconds * 1e3, row.open_seconds * 1e3,
               row.has_file_stats ? row.file_stats.preads : 0,
               row.has_file_stats ? row.file_stats.pwrites : 0,
               row.has_file_stats ? row.file_stats.syncs : 0);

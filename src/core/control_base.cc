@@ -1,6 +1,7 @@
 #include "core/control_base.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <sstream>
 
@@ -565,36 +566,55 @@ Status ControlBase::Compact() {
   return EndCommand();
 }
 
+template <typename Visit>
+void ControlBase::VisitPages(Address first, Address last,
+                             Visit&& visit) const {
+  std::array<const Page*, kRunPages> pages;
+  std::array<Status, kRunPages> reads;
+  for (Address run = first; run <= last; run += kRunPages) {
+    const size_t n = static_cast<size_t>(std::min(kRunPages, last - run + 1));
+    file_.PeekRun(run, std::span(pages.data(), n), std::span(reads.data(), n));
+    for (size_t i = 0; i < n; ++i) {
+      const Address a = run + static_cast<Address>(i);
+      const Page* frame = pool_ != nullptr ? pool_->PeekFrame(a) : nullptr;
+      if (frame != nullptr) {
+        visit(a, *frame, Status::OK());
+      } else {
+        visit(a, *pages[i], reads[i]);
+      }
+    }
+  }
+}
+
 ControlBase::PageScan ControlBase::ScanPages() const {
   PageScan scan;
   scan.leaves.resize(static_cast<size_t>(num_blocks_));
   bool have_prev = false;
   Key prev_max = 0;
-  for (Address block = 1; block <= num_blocks_; ++block) {
-    Calibrator::LeafUpdate& u = scan.leaves[static_cast<size_t>(block - 1)];
-    const Address first = FirstPhysicalPage(block);
-    bool saw_empty = false;
-    bool block_ordered = true;
-    for (int64_t i = 0; i < block_size_; ++i) {
-      Status read;
-      const Page& page = PeekLogical(first + i, &read);
-      if (read.IsCorruption()) {
-        scan.corrupt.push_back(first + i);
-      } else if (!read.ok() && scan.device_error.ok()) {
-        scan.device_error = read;
-      }
-      if (page.empty()) {
-        saw_empty = true;
-        continue;
-      }
+  // Per-block state; blocks are consecutive runs of block_size_ pages.
+  Address block = 1;
+  int64_t in_block = 0;
+  bool saw_empty = false;
+  bool block_ordered = true;
+  VisitPages(1, num_blocks_ * block_size_, [&](Address a, const Page& page,
+                                                const Status& read) {
+    if (read.IsCorruption()) {
+      scan.corrupt.push_back(a);
+    } else if (!read.ok() && scan.device_error.ok()) {
+      scan.device_error = read;
+    }
+    if (page.empty()) {
+      saw_empty = true;
+    } else {
       if (saw_empty) {
         if (scan.packing_violations++ == 0) scan.first_unpacked_block = block;
         saw_empty = false;
       }
       if (page.size() > page_D_ && scan.overfull_pages++ == 0) {
-        scan.first_overfull_page = first + i;
+        scan.first_overfull_page = a;
       }
       if (!page.WellFormed()) block_ordered = false;
+      Calibrator::LeafUpdate& u = scan.leaves[static_cast<size_t>(block - 1)];
       for (const Record& r : page.records()) {
         if (have_prev && r.key <= prev_max) block_ordered = false;
         prev_max = r.key;
@@ -604,8 +624,14 @@ ControlBase::PageScan ControlBase::ScanPages() const {
         ++u.count;
       }
     }
-    if (!block_ordered) ++scan.misordered_blocks;
-  }
+    if (++in_block == block_size_) {
+      if (!block_ordered) ++scan.misordered_blocks;
+      ++block;
+      in_block = 0;
+      saw_empty = false;
+      block_ordered = true;
+    }
+  });
   return scan;
 }
 
@@ -685,14 +711,15 @@ StatusOr<RepairReport> ControlBase::CheckAndRepair() {
   // immaterial. Then rewrite at uniform density — Theorem 5.5's initial
   // condition — with raw writes: recovery I/O is offline and unaccounted.
   std::vector<Record> all;
-  for (Address p = 1; p <= file_.num_pages(); ++p) {
+  Status gather;
+  VisitPages(1, file_.num_pages(), [&](Address, const Page& page,
+                                       const Status& read) {
     // Corrupt slots were quarantined above, so any failure here is new
     // and the rewrite below must not drop the page's records.
-    Status read;
-    const Page& page = file_.Peek(p, &read);
-    DSF_RETURN_IF_ERROR(read);
+    if (!read.ok() && gather.ok()) gather = read;
     all.insert(all.end(), page.records().begin(), page.records().end());
-  }
+  });
+  DSF_RETURN_IF_ERROR(gather);
   std::stable_sort(all.begin(), all.end(), RecordKeyLess);
   const auto unique_end =
       std::unique(all.begin(), all.end(), [](const Record& a, const Record& b) {
@@ -949,19 +976,31 @@ Status ControlBase::LayOutBlocks(
     const std::vector<std::span<const Record>>& slices) {
   std::vector<Calibrator::LeafUpdate> leaves;
   leaves.reserve(slices.size());
+  // Blocks are consecutive, so the layout is one address-ordered pass
+  // over pages 1..B*K, written kRunPages pages per call.
+  std::array<std::span<const Record>, kRunPages> run;
+  size_t filled = 0;
+  Address next = 1;
+  auto write_run = [&]() -> Status {
+    // lint:allow(raw-page-io): layout is setup or offline repair,
+    // unaccounted per the accounting rule in storage/page_file.h.
+    const Status s = file_.RawWriteRun(next, std::span(run.data(), filled));
+    next += static_cast<Address>(filled);
+    filled = 0;
+    return s;
+  };
   for (Address block = 1; block <= num_blocks_; ++block) {
     std::span<const Record> rest = slices[static_cast<size_t>(block - 1)];
     leaves.push_back(MakeLeafUpdate(rest.data(), rest.data() + rest.size()));
-    const Address first = FirstPhysicalPage(block);
     for (int64_t i = 0; i < block_size_; ++i) {
       const size_t take =
           std::min(static_cast<size_t>(page_D_), rest.size());
-      // lint:allow(raw-page-io): layout is setup or offline repair,
-      // unaccounted per the accounting rule in storage/page_file.h.
-      DSF_RETURN_IF_ERROR(file_.RawWrite(first + i, rest.first(take)));
+      run[filled++] = rest.first(take);
       rest = rest.subspan(take);
+      if (filled == run.size()) DSF_RETURN_IF_ERROR(write_run());
     }
   }
+  if (filled > 0) DSF_RETURN_IF_ERROR(write_run());
   calibrator_.SyncLeaves(1, leaves);
   return Status::OK();
 }

@@ -453,6 +453,12 @@ class ControlBase {
     }
   };
   PageScan ScanPages() const;
+  // Unaccounted pass over pages [first, last] in runs of kRunPages
+  // (PageFile::PeekRun): visit(address, page, read_status) sees each
+  // page once, in address order, as the logical view — a resident pool
+  // frame overlays its device page and that page's read verdict.
+  template <typename Visit>
+  void VisitPages(Address first, Address last, Visit&& visit) const;
 
   // Lays slices[b-1] out over block b, D records per page and prefix-
   // packed, with unaccounted raw writes, and syncs the calibrator to

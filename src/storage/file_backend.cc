@@ -9,6 +9,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -24,6 +25,9 @@ constexpr int64_t kAlign = 4096;
 constexpr int64_t kSlotHeaderBytes = 16;   // {count u64, crc u32, reserved u32}
 constexpr int64_t kRecordBytes = 16;       // {key u64, value u64}
 constexpr int64_t kSuperblockBytes = 4096;
+// The run buffer's cap: one WriteRun/ReadRun transfer moves at most this
+// many bytes of consecutive slots (64 slots of 4096 bytes).
+constexpr int64_t kRunBytes = 256 * 1024;
 constexpr char kMagic[8] = {'D', 'S', 'F', 'S', 'U', 'P', 'E', 'R'};
 
 int64_t AlignUp(int64_t n, int64_t a) { return (n + a - 1) / a * a; }
@@ -80,11 +84,14 @@ void FillSuperblock(unsigned char* block, uint32_t version, int64_t num_pages,
 }
 
 // Full-length positioned read/write; retries short transfers and EINTR
-// (regular files only short-transfer at EOF, but be strict).
+// (regular files only short-transfer at EOF, but be strict). Each
+// syscall issued is counted in *syscalls when given.
 Status PreadFully(int fd, unsigned char* buf, int64_t n, int64_t offset,
-                  const std::string& path) {
+                  const std::string& path,
+                  std::atomic<int64_t>* syscalls = nullptr) {
   int64_t done = 0;
   while (done < n) {
+    if (syscalls != nullptr) syscalls->fetch_add(1, std::memory_order_relaxed);
     ssize_t r = ::pread(fd, buf + done, static_cast<size_t>(n - done),
                         static_cast<off_t>(offset + done));
     if (r < 0) {
@@ -103,9 +110,11 @@ Status PreadFully(int fd, unsigned char* buf, int64_t n, int64_t offset,
 }
 
 Status PwriteFully(int fd, const unsigned char* buf, int64_t n, int64_t offset,
-                   const std::string& path) {
+                   const std::string& path,
+                   std::atomic<int64_t>* syscalls = nullptr) {
   int64_t done = 0;
   while (done < n) {
+    if (syscalls != nullptr) syscalls->fetch_add(1, std::memory_order_relaxed);
     ssize_t r = ::pwrite(fd, buf + done, static_cast<size_t>(n - done),
                          static_cast<off_t>(offset + done));
     if (r < 0) {
@@ -126,18 +135,14 @@ unsigned char* AllocAligned(int64_t n) {
   return static_cast<unsigned char*>(p);
 }
 
-// Per-thread read scratch, sized on demand. ReadPage runs concurrently
-// under shared-lock readers; a thread_local keeps it allocation-free on
-// the steady path without a lock.
-unsigned char* ThreadReadBuf(int64_t n) {
-  thread_local unsigned char* buf = nullptr;
-  thread_local int64_t cap = 0;
-  if (cap < n) {
-    std::free(buf);
-    buf = AllocAligned(n);
-    cap = buf != nullptr ? n : 0;
-  }
-  return buf;
+// fsyncs a directory, making the entries created in it durable.
+Status SyncDirectory(const std::string& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return ErrnoError("open", dir);
+  Status s;
+  if (::fsync(fd) != 0) s = ErrnoError("fsync", dir);
+  ::close(fd);
+  return s;
 }
 
 // Opens the data file, attempting O_DIRECT when asked and falling back
@@ -167,6 +172,19 @@ void FileBackend::AlignedDeleter::operator()(unsigned char* p) const {
   std::free(p);
 }
 
+// Per-thread read scratch, sized on demand. ReadPage runs concurrently
+// under shared-lock readers; a thread_local keeps it allocation-free on
+// the steady path without a lock, and frees it when the thread exits.
+unsigned char* FileBackend::ThreadReadBuf(int64_t n) {
+  thread_local std::unique_ptr<unsigned char[], AlignedDeleter> buf;
+  thread_local int64_t cap = 0;
+  if (cap < n) {
+    buf.reset(AllocAligned(n));
+    cap = buf != nullptr ? n : 0;
+  }
+  return buf.get();
+}
+
 FileBackend::FileBackend(Options options, int64_t num_pages,
                          int64_t page_capacity, int64_t slot_bytes,
                          int data_fd, bool direct_active)
@@ -176,12 +194,31 @@ FileBackend::FileBackend(Options options, int64_t num_pages,
       slot_bytes_(slot_bytes),
       data_fd_(data_fd),
       direct_active_(direct_active),
-      write_buf_(AllocAligned(slot_bytes)) {
-  DSF_CHECK(write_buf_ != nullptr) << "slot buffer allocation failed";
+      run_slots_(std::max<int64_t>(1, kRunBytes / slot_bytes)),
+      run_buf_(AllocAligned(run_slots_ * slot_bytes)) {
+  DSF_CHECK(run_buf_ != nullptr) << "run buffer allocation failed";
+  // Commands touch single pages at random and the whole-file passes read
+  // explicit runs, so kernel readahead buys nothing. Worse, the large
+  // page-cache folios it builds make every later synced 4 KiB write
+  // write back the whole folio (measured: ~2 MiB per command after a
+  // cold sequential pass). Best effort: a refusal only costs speed.
+  (void)::posix_fadvise(data_fd_, 0, 0, POSIX_FADV_RANDOM);
+#ifdef O_DIRECT
+  // A buffered run write would leave one large folio per run in the
+  // page cache, with the same write-back amplification (measured: the
+  // whole 256 KiB run per later command), so runs bypass the cache on a
+  // second, O_DIRECT descriptor. Where O_DIRECT is refused (tmpfs, which
+  // has no write-back) runs stay buffered.
+  if (!direct_active_) {
+    direct_run_fd_ = ::open(DatPath(options_.directory).c_str(),
+                            O_RDWR | O_CLOEXEC | O_DIRECT);
+  }
+#endif
 }
 
 FileBackend::~FileBackend() {
   if (data_fd_ >= 0) ::close(data_fd_);
+  if (direct_run_fd_ >= 0) ::close(direct_run_fd_);
 }
 
 StatusOr<std::unique_ptr<FileBackend>> FileBackend::Create(
@@ -214,8 +251,15 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::Create(
   auto [fd, direct] = fd_or.value();
   // Size the file up front; the hole reads back as zeros, which the
   // slot format defines as the valid empty page.
+  Status s;
   if (::ftruncate(fd, static_cast<off_t>(num_pages * slot_bytes)) != 0) {
-    Status s = ErrnoError("ftruncate", dat);
+    s = ErrnoError("ftruncate", dat);
+  }
+  // The files' data is synced (the superblock above, the data file at
+  // the first barrier), but their directory entries are not until the
+  // directory itself is: without this a power cut could lose the pair.
+  if (s.ok()) s = SyncDirectory(options.directory);
+  if (!s.ok()) {
     ::close(fd);
     return s;
   }
@@ -274,9 +318,9 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::Open(
       options, num_pages, page_capacity, slot_bytes, fd, direct));
 }
 
-void FileBackend::SerializeSlot(const Page& page, unsigned char* slot) const {
+void FileBackend::SerializeSlot(std::span<const Record> records,
+                                unsigned char* slot) const {
   std::memset(slot, 0, static_cast<size_t>(slot_bytes_));
-  const auto& records = page.records();
   PutU64(slot, 0, static_cast<uint64_t>(records.size()));
   unsigned char* body = slot + kSlotHeaderBytes;
   for (size_t i = 0; i < records.size(); ++i) {
@@ -330,41 +374,99 @@ Status FileBackend::DeserializeSlot(Address address,
   return Status::OK();
 }
 
-Status FileBackend::WritePage(Address address, const Page& page) {
-  if (address < 1 || address > num_pages_) {
-    return Status::OutOfRange("backend write address " +
-                              std::to_string(address) + " outside [1," +
-                              std::to_string(num_pages_) + "]");
+Status FileBackend::CheckRange(Address first, int64_t n,
+                               const char* op) const {
+  if (first < 1 || n < 0 || first + n - 1 > num_pages_) {
+    return Status::OutOfRange(std::string("backend ") + op + " address " +
+                              std::to_string(first) +
+                              (n == 1 ? "" : " (+" + std::to_string(n) + ")") +
+                              " outside [1," + std::to_string(num_pages_) +
+                              "]");
   }
-  if (options_.kill_after_writes >= 0 &&
-      pwrites_.load(std::memory_order_relaxed) >= options_.kill_after_writes) {
-    // Kill-test trigger: the first kill_after_writes pwrites completed;
-    // this one must never start. SIGKILL cannot be caught, so the
-    // process dies exactly between two physical writes.
+  return Status::OK();
+}
+
+Status FileBackend::WriteSlots(int fd, Address first, int64_t n) {
+  const int64_t trigger = options_.kill_after_writes;
+  const int64_t written = pwrites_.load(std::memory_order_relaxed);
+  const bool kill = trigger >= 0 && written + n > trigger;
+  const int64_t allowed = kill ? std::max<int64_t>(0, trigger - written) : n;
+  if (allowed > 0) {
+    DSF_RETURN_IF_ERROR(PwriteFully(fd, run_buf_.get(),
+                                    allowed * slot_bytes_, SlotOffset(first),
+                                    DatPath(options_.directory),
+                                    &write_syscalls_));
+    pwrites_.fetch_add(allowed, std::memory_order_relaxed);
+  }
+  if (kill) {
+    // Kill-test trigger: the first kill_after_writes slots are written;
+    // the next must never start. SIGKILL cannot be caught, so the
+    // process dies exactly between two slot writes.
     ::kill(::getpid(), SIGKILL);
     ::pause();  // not reached; SIGKILL is immediate
   }
-  SerializeSlot(page, write_buf_.get());
-  DSF_RETURN_IF_ERROR(PwriteFully(data_fd_, write_buf_.get(), slot_bytes_,
-                                  SlotOffset(address),
-                                  DatPath(options_.directory)));
-  pwrites_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status FileBackend::WritePage(Address address, const Page& page) {
+  DSF_RETURN_IF_ERROR(CheckRange(address, 1, "write"));
+  SerializeSlot(page.records(), run_buf_.get());
+  return WriteSlots(data_fd_, address, 1);
+}
+
+Status FileBackend::WriteRun(Address first,
+                             std::span<const std::span<const Record>> pages) {
+  const int64_t n = static_cast<int64_t>(pages.size());
+  DSF_RETURN_IF_ERROR(CheckRange(first, n, "write"));
+  const int fd = direct_run_fd_ >= 0 ? direct_run_fd_ : data_fd_;
+  for (int64_t done = 0; done < n; done += run_slots_) {
+    const int64_t len = std::min(run_slots_, n - done);
+    for (int64_t i = 0; i < len; ++i) {
+      SerializeSlot(pages[static_cast<size_t>(done + i)],
+                    run_buf_.get() + i * slot_bytes_);
+    }
+    DSF_RETURN_IF_ERROR(WriteSlots(fd, first + done, len));
+  }
   return Status::OK();
 }
 
 Status FileBackend::ReadPage(Address address, Page* out) {
-  if (address < 1 || address > num_pages_) {
-    return Status::OutOfRange("backend read address " +
-                              std::to_string(address) + " outside [1," +
-                              std::to_string(num_pages_) + "]");
-  }
+  DSF_RETURN_IF_ERROR(CheckRange(address, 1, "read"));
   unsigned char* buf = ThreadReadBuf(slot_bytes_);
   if (buf == nullptr) return Status::IoError("slot buffer allocation failed");
   DSF_RETURN_IF_ERROR(PreadFully(data_fd_, buf, slot_bytes_,
                                  SlotOffset(address),
-                                 DatPath(options_.directory)));
+                                 DatPath(options_.directory),
+                                 &read_syscalls_));
   preads_.fetch_add(1, std::memory_order_relaxed);
   return DeserializeSlot(address, buf, out);
+}
+
+void FileBackend::ReadRun(Address first, std::span<Page> out,
+                          std::span<Status> status) {
+  const int64_t n = static_cast<int64_t>(out.size());
+  const Status range = CheckRange(first, n, "read");
+  for (int64_t done = 0; done < n; done += run_slots_) {
+    const int64_t len = std::min(run_slots_, n - done);
+    Status read = range;
+    if (read.ok()) {
+      read = PreadFully(data_fd_, run_buf_.get(), len * slot_bytes_,
+                        SlotOffset(first + done), DatPath(options_.directory),
+                        &read_syscalls_);
+    }
+    if (read.ok()) preads_.fetch_add(len, std::memory_order_relaxed);
+    for (int64_t i = 0; i < len; ++i) {
+      const size_t k = static_cast<size_t>(done + i);
+      if (read.ok()) {
+        // Each slot keeps its own CRC: a torn slot fails only itself.
+        status[k] = DeserializeSlot(first + done + i,
+                                    run_buf_.get() + i * slot_bytes_, &out[k]);
+      } else {
+        out[k].Clear();
+        status[k] = read;
+      }
+    }
+  }
 }
 
 Status FileBackend::SyncBarrier() {
@@ -380,6 +482,8 @@ FileBackend::Stats FileBackend::stats() const {
   s.preads = preads_.load(std::memory_order_relaxed);
   s.pwrites = pwrites_.load(std::memory_order_relaxed);
   s.syncs = syncs_.load(std::memory_order_relaxed);
+  s.read_syscalls = read_syscalls_.load(std::memory_order_relaxed);
+  s.write_syscalls = write_syscalls_.load(std::memory_order_relaxed);
   s.crc_failures = crc_failures_.load(std::memory_order_relaxed);
   s.direct_active = direct_active_;
   return s;
@@ -427,6 +531,16 @@ Status FileBackend::CorruptPageForTesting(Address address) {
   buf[kSlotHeaderBytes] ^= 0xA5u;
   if (GetU64(buf, 0) == 0) PutU64(buf, 0, 1);
   return PwriteFully(data_fd_, buf, slot_bytes_, SlotOffset(address), dat);
+}
+
+Status FileBackend::DropPageCacheForTesting() {
+  DSF_RETURN_IF_ERROR(SyncBarrier());
+  const int err = ::posix_fadvise(data_fd_, 0, 0, POSIX_FADV_DONTNEED);
+  if (err != 0) {
+    return Status::IoError("posix_fadvise " + DatPath(options_.directory) +
+                           ": " + std::strerror(err));
+  }
+  return Status::OK();
 }
 
 Status FileBackend::OverwriteSuperblockVersionForTesting(

@@ -29,23 +29,36 @@
 //                   reads back as the all-empty state without writing
 //                   num_pages * slot_bytes of zeros at create.
 //
-// I/O modes. Writes and reads are positioned full-slot pread/pwrite.
-// With Options::direct_io the data file is opened O_DIRECT (buffers are
-// 4096-aligned, slots are 4096 multiples); filesystems that refuse
-// O_DIRECT (tmpfs) fall back to buffered I/O transparently —
-// stats().direct_active says which mode is live. SyncBarrier() is
-// fdatasync on the data file.
+// I/O modes. WritePage/ReadPage are one positioned full-slot
+// pwrite/pread each. WriteRun/ReadRun serialize consecutive slots into
+// one backend-owned run buffer (allocated once, at most 256 KiB) and
+// move it with one pwrite/pread per run, so a whole-file pass costs
+// about M/64 syscalls instead of M; every slot in the run keeps its own
+// header and CRC, so the on-disk format is the same either way. With
+// Options::direct_io the data file is opened O_DIRECT (buffers are
+// 4096-aligned, slots and runs are 4096 multiples at 4096-aligned
+// offsets); filesystems that refuse O_DIRECT (tmpfs) fall back to
+// buffered I/O transparently — stats().direct_active says which mode is
+// live. Page cache: the data file is advised POSIX_FADV_RANDOM, and a
+// buffered file still writes its runs through a second O_DIRECT
+// descriptor, because large page-cache folios (from readahead or from a
+// 256 KiB buffered write) would make every later synced 4 KiB write
+// write back the whole folio. SyncBarrier() is fdatasync on the data
+// file. Create fsyncs the directory, so the new pair's entries are
+// durable too.
 //
 // Kill-testing. Options::kill_after_writes arms the backend to SIGKILL
-// its own process when data-file pwrite number kill_after_writes+1 is
-// requested (the first k complete, the next never starts) — the
-// durable-storage analogue of FaultPolicy::CrashAfterAccesses, at
-// physical-write granularity. The parent of the forked child reopens
-// the files and drives recovery (tests/durable_kill_test.cc).
+// its own process when data-file slot write number kill_after_writes+1
+// is requested (the first k slots are written, the next never starts) —
+// the durable-storage analogue of FaultPolicy::CrashAfterAccesses, at
+// slot granularity. A run that would cross the trigger writes its
+// prefix up to slot k, then dies. The parent of the forked child
+// reopens the files and drives recovery (tests/durable_kill_test.cc).
 //
-// Thread safety: WritePage and SyncBarrier are writer-side and
-// externally serialized (PageFile accesses are, per shard). ReadPage
-// may be called concurrently by shared-lock readers; it uses
+// Thread safety: WritePage, WriteRun, ReadRun and SyncBarrier are
+// writer-side and externally serialized (PageFile accesses are, per
+// shard; the run passes run at setup, open, repair and validation).
+// ReadPage may be called concurrently by shared-lock readers; it uses
 // thread-local scratch and atomic counters.
 
 #ifndef DSF_STORAGE_FILE_BACKEND_H_
@@ -55,6 +68,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "storage/storage_backend.h"
@@ -78,15 +92,21 @@ class FileBackend : public StorageBackend {
     // for the benchmark's tests; to be removed with the next benchmark
     // change.
     bool verify_reads = true;
-    // Testing: after this many completed data-file pwrites, the next
-    // pwrite raises SIGKILL on the calling process instead of running.
-    // -1 disarms.
+    // Testing: after this many data-file slot writes, the next slot
+    // write raises SIGKILL on the calling process instead of running (a
+    // run writes its prefix up to the trigger first). -1 disarms.
     int64_t kill_after_writes = -1;
   };
 
   struct Stats {
+    // Slots read and written: a run of n slots counts n, so these match
+    // the page-level accounting whatever the transfer size.
     int64_t preads = 0;
     int64_t pwrites = 0;
+    // The data-file pread/pwrite syscalls that moved them: one per page,
+    // or one per run.
+    int64_t read_syscalls = 0;
+    int64_t write_syscalls = 0;
     int64_t syncs = 0;
     int64_t crc_failures = 0;
     bool direct_active = false;  // O_DIRECT actually in effect
@@ -113,6 +133,10 @@ class FileBackend : public StorageBackend {
   int64_t page_capacity() const override { return page_capacity_; }
   Status WritePage(Address address, const Page& page) override;
   Status ReadPage(Address address, Page* out) override;
+  Status WriteRun(Address first,
+                  std::span<const std::span<const Record>> pages) override;
+  void ReadRun(Address first, std::span<Page> out,
+               std::span<Status> status) override;
   Status SyncBarrier() override;
   bool VerifyOnRead() const override { return options_.verify_reads; }
   std::string Name() const override {
@@ -135,6 +159,9 @@ class FileBackend : public StorageBackend {
   // Flips one byte inside the record area of `address`'s slot, directly
   // on disk — a torn/corrupt page for CRC tests.
   Status CorruptPageForTesting(Address address);
+  // Syncs the data file and evicts its pages from the OS page cache — a
+  // cold cache, as after a restart, for the page-cache tests.
+  Status DropPageCacheForTesting();
   // Rewrites the superblock with `version` (recomputing its CRC) — the
   // version-mismatch rejection fixture.
   static Status OverwriteSuperblockVersionForTesting(
@@ -144,9 +171,14 @@ class FileBackend : public StorageBackend {
   FileBackend(Options options, int64_t num_pages, int64_t page_capacity,
               int64_t slot_bytes, int data_fd, bool direct_active);
 
-  // Serializes `page` into the (aligned) scratch buffer; returns the
-  // slot image. Buffer is zero-filled past the records.
-  void SerializeSlot(const Page& page, unsigned char* slot) const;
+  struct AlignedDeleter {
+    void operator()(unsigned char* p) const;
+  };
+
+  // Serializes one page's records into the slot image at `slot`,
+  // zero-filled past the records.
+  void SerializeSlot(std::span<const Record> records,
+                     unsigned char* slot) const;
   // Deserializes a slot image into *out; kCorruption on CRC mismatch, an
   // impossible record count or unordered keys.
   Status DeserializeSlot(Address address, const unsigned char* slot,
@@ -154,25 +186,36 @@ class FileBackend : public StorageBackend {
   int64_t SlotOffset(Address address) const {
     return (address - 1) * slot_bytes_;
   }
+  // OutOfRange unless slots first .. first+n-1 all exist.
+  Status CheckRange(Address first, int64_t n, const char* op) const;
+  // Writes the first n slot images of the run buffer at `first` through
+  // `fd`, honoring the kill trigger.
+  Status WriteSlots(int fd, Address first, int64_t n);
+  // The calling thread's aligned read scratch of at least n bytes.
+  static unsigned char* ThreadReadBuf(int64_t n);
 
   Options options_;
   int64_t num_pages_ = 0;
   int64_t page_capacity_ = 0;
   int64_t slot_bytes_ = 0;
   int data_fd_ = -1;
+  // The data file opened O_DIRECT for WriteRun when data_fd_ is buffered
+  // (see the constructor); -1 when data_fd_ is direct already or the
+  // filesystem refuses O_DIRECT.
+  int direct_run_fd_ = -1;
   bool direct_active_ = false;
 
-  // Write-side scratch (writers are externally serialized); aligned for
-  // O_DIRECT. Readers use thread-local scratch in the .cc.
-  struct AlignedDeleter {
-    void operator()(unsigned char* p) const;
-  };
-  std::unique_ptr<unsigned char[], AlignedDeleter> write_buf_;
+  // Writer-side scratch of run_slots_ slots (WritePage uses the first),
+  // aligned for O_DIRECT; ReadPage uses thread-local scratch instead.
+  int64_t run_slots_ = 1;
+  std::unique_ptr<unsigned char[], AlignedDeleter> run_buf_;
 
   // Counters are atomics because shared-lock readers call ReadPage
   // concurrently (see header note); plain loads elsewhere.
   mutable std::atomic<int64_t> preads_{0};
   std::atomic<int64_t> pwrites_{0};
+  std::atomic<int64_t> read_syscalls_{0};
+  std::atomic<int64_t> write_syscalls_{0};
   std::atomic<int64_t> syncs_{0};
   mutable std::atomic<int64_t> crc_failures_{0};
 };

@@ -113,13 +113,36 @@ Status PageFile::DeviceWrite(Address address, const Page& page) {
   return BackendWrite(address, page);
 }
 
-Status PageFile::RawWrite(Address address, std::span<const Record> records) {
-  if (address < 1 || address > num_pages_) {
-    return Status::OutOfRange("raw write address " + std::to_string(address) +
+Status PageFile::CheckRange(Address first, int64_t n, const char* op) const {
+  if (first < 1 || n < 0 || first + n - 1 > num_pages_) {
+    return Status::OutOfRange(std::string(op) + " address " +
+                              std::to_string(first) +
+                              (n == 1 ? "" : " (+" + std::to_string(n) + ")") +
                               " outside [1," + std::to_string(num_pages_) +
                               "]");
   }
+  return Status::OK();
+}
+
+Status PageFile::RawWrite(Address address, std::span<const Record> records) {
+  DSF_RETURN_IF_ERROR(CheckRange(address, 1, "raw write"));
   return Store(address, records);
+}
+
+Status PageFile::RawWriteRun(Address first,
+                             std::span<const std::span<const Record>> pages) {
+  DSF_RETURN_IF_ERROR(
+      CheckRange(first, static_cast<int64_t>(pages.size()), "raw write"));
+  if (backend_ == nullptr) {
+    for (size_t i = 0; i < pages.size(); ++i) {
+      DSF_RETURN_IF_ERROR(Store(first + static_cast<Address>(i), pages[i]));
+    }
+    return Status::OK();
+  }
+  if (!sync_failure_.ok()) return sync_failure_;
+  // Even a failed run may have written a prefix.
+  dirty_since_sync_ = true;
+  return backend_->WriteRun(first, pages);
 }
 
 Status PageFile::Store(Address address, std::span<const Record> records) {
@@ -151,6 +174,34 @@ const Page& PageFile::Peek(Address address, Status* read_status) const {
     if (read_status != nullptr) *read_status = s;
   }
   return page;
+}
+
+void PageFile::PeekRun(Address first, std::span<const Page*> out,
+                       std::span<Status> status) const {
+  const int64_t n = static_cast<int64_t>(out.size());
+  DSF_CHECK(first >= 1 && first + n - 1 <= num_pages_)
+      << "PeekRun [" << first << ", " << first + n - 1 << "] outside [1,"
+      << num_pages_ << "]";
+  if (backend_ == nullptr) {
+    for (int64_t i = 0; i < n; ++i) {
+      out[static_cast<size_t>(i)] = &pages_[static_cast<size_t>(first - 1 + i)];
+      status[static_cast<size_t>(i)] = Status::OK();
+    }
+    return;
+  }
+  thread_local std::vector<Page> scratch;
+  if (static_cast<int64_t>(scratch.size()) < n) {
+    scratch.resize(static_cast<size_t>(n));
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    Sized(scratch[static_cast<size_t>(i)], page_capacity_);
+  }
+  std::span<Page> pages(scratch.data(), static_cast<size_t>(n));
+  backend_->ReadRun(first, pages, status);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    if (!status[i].ok()) pages[i].Clear();
+    out[i] = &pages[i];
+  }
 }
 
 Status PageFile::SyncBarrier() {

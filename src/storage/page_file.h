@@ -12,20 +12,25 @@
 //   DeviceRead / DeviceWrite  physical only: a BufferPool's miss fill and
 //                             write-back (the pool charges CountLogical
 //                             on every request itself);
-//   RawWrite                  unaccounted: setup layout (bulk load),
+//   RawWrite / RawWriteRun    unaccounted: setup layout (bulk load),
 //                             freed-tail clears and recovery rewrites —
 //                             bookkeeping a real system keeps in metadata;
-//   Peek                      unaccounted read for validators, tests,
+//   Peek / PeekRun            unaccounted read for validators, tests,
 //                             debug printing and offline recovery, never
 //                             for online algorithm logic.
+//
+// The Run forms cover consecutive pages in one call, so the whole-file
+// passes (layout, Open's check pass, the repair gather) reach a backend
+// as StorageBackend::WriteRun/ReadRun — one syscall per run on a file.
 //
 // Where the pages live. Without a StorageBackend the in-memory page
 // vector IS the simulated device, and the calls are zero-copy against
 // it (Read appends straight from the page, Write fills it in place).
 // With a backend there is no page vector at all: every call goes
-// straight to StorageBackend::ReadPage/WritePage, so memory holds only
-// what a BufferPool caches plus Peek's thread-local scratch page — the
-// textbook external-memory shape (docs/STORAGE.md).
+// straight to the backend (ReadPage/WritePage, or ReadRun/WriteRun for
+// the Run forms), so memory holds only what a BufferPool caches plus
+// Peek's thread-local scratch pages — the textbook external-memory shape
+// (docs/STORAGE.md).
 //
 // Addresses are 1-based (pages 1..M), matching the paper.
 
@@ -89,6 +94,12 @@ class PageFile {
   // reaches the backend in issue order and its error comes back as a
   // Status.
   Status RawWrite(Address address, std::span<const Record> records);
+  // Run form: pages[i] becomes page first+i, in address order; on an
+  // error a prefix may be written. Without a backend each page is filled
+  // in place, exactly as RawWrite would; with one, a single
+  // StorageBackend::WriteRun.
+  Status RawWriteRun(Address first,
+                     std::span<const std::span<const Record>> pages);
 
   // Unaccounted read for validators, tests, printing and recovery. With
   // a backend this is a device read into thread-local scratch, so the
@@ -98,6 +109,13 @@ class PageFile {
   // integrity check (CheckAndRepair's torn-slot detection), kIoError
   // for a device failure; OK otherwise.
   const Page& Peek(Address address, Status* read_status = nullptr) const;
+  // Run form: out[i] points at page first+i and status[i] (same size as
+  // out) is its read verdict, as Peek's *read_status. Without a backend
+  // the pointers are into the page vector; with one, a single
+  // StorageBackend::ReadRun fills thread-local scratch pages, valid until
+  // the calling thread's next PeekRun of any file.
+  void PeekRun(Address first, std::span<const Page*> out,
+               std::span<Status> status) const;
 
   // Installs (or clears, with nullptr) the fault schedule consulted by
   // the accounted calls. Shared so tests can keep steering it mid-run.
@@ -183,6 +201,8 @@ class PageFile {
   Status Store(Address address, std::span<const Record> records);
   // The backend half of a write: refuses after a failed barrier.
   Status BackendWrite(Address address, const Page& page);
+  // OutOfRange unless pages first .. first+n-1 all exist.
+  Status CheckRange(Address first, int64_t n, const char* op) const;
 
   int64_t num_pages_;
   int64_t page_capacity_;

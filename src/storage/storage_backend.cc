@@ -2,6 +2,24 @@
 
 namespace dsf {
 
+Status StorageBackend::WriteRun(
+    Address first, std::span<const std::span<const Record>> pages) {
+  Page page(page_capacity());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    page.Clear();
+    page.AppendHigh(pages[i].data(), pages[i].data() + pages[i].size());
+    DSF_RETURN_IF_ERROR(WritePage(first + static_cast<Address>(i), page));
+  }
+  return Status::OK();
+}
+
+void StorageBackend::ReadRun(Address first, std::span<Page> out,
+                             std::span<Status> status) {
+  for (size_t i = 0; i < out.size(); ++i) {
+    status[i] = ReadPage(first + static_cast<Address>(i), &out[i]);
+  }
+}
+
 MemoryBackend::MemoryBackend(int64_t num_pages, int64_t page_capacity)
     : num_pages_(num_pages), page_capacity_(page_capacity) {
   image_.reserve(static_cast<size_t>(num_pages));

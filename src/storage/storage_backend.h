@@ -6,10 +6,15 @@
 // repo's crash-ordering proofs is durable-storage evidence instead of
 // simulation:
 //
-//   - every device write (accounted, or PageFile::RawWrite bookkeeping)
-//     is one WritePage, issued in exactly the order the crash-safe
-//     maintenance issued it (docs/FAULTS.md: DEST-before-SOURCE,
-//     directional block rewrites);
+//   - every accounted device write, every pool write-back and every
+//     quarantine write is one WritePage, issued in exactly the order the
+//     crash-safe maintenance issued it (docs/FAULTS.md: DEST-before-
+//     SOURCE, directional block rewrites);
+//   - the unaccounted whole-file passes — the layout of BulkLoad,
+//     LoadLayout and the repair rewrite, and the check/gather reads of
+//     Open, CheckAndRepair and ValidateInvariants — move consecutive
+//     slots with WriteRun/ReadRun, which a file backend turns into one
+//     syscall per run of up to kRunPages slots;
 //   - SyncBarrier() is called at the points the write-ordering argument
 //     already assumes a persistence boundary (end of each
 //     duplicate-then-delete phase, the EndCommand flush boundary, bulk
@@ -34,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +48,12 @@
 #include "util/status.h"
 
 namespace dsf {
+
+// The most consecutive pages a caller hands to one WriteRun/ReadRun: the
+// run passes batch this many, which bounds their span and page arrays. A
+// backend may split a run further (FileBackend caps one transfer at
+// 256 KiB of slots).
+inline constexpr int64_t kRunPages = 64;
 
 class StorageBackend {
  public:
@@ -65,6 +77,22 @@ class StorageBackend {
   // device could not be read (a failed syscall, no buffer) and says
   // nothing about the slot's content.
   virtual Status ReadPage(Address address, Page* out) = 0;
+
+  // Run I/O for the unaccounted whole-file passes: pages[i] (ascending
+  // records, at most page_capacity) becomes slot first+i, each with
+  // WritePage's per-slot atomicity. Unlike a sequence of WritePage calls
+  // it promises no order among its slots before the next SyncBarrier, so
+  // crash-ordered writes never use it. On an error a prefix of the run
+  // may be written. The default loops WritePage.
+  virtual Status WriteRun(Address first,
+                          std::span<const std::span<const Record>> pages);
+
+  // Reads slots first .. first+out.size()-1 into out[i], with status[i]
+  // (same size as out) that slot's ReadPage verdict: one corrupt slot
+  // fails only itself, while a device failure fails every slot it
+  // covers. The default loops ReadPage.
+  virtual void ReadRun(Address first, std::span<Page> out,
+                       std::span<Status> status);
 
   // Persistence barrier: on return, every WritePage issued before the
   // call is durable. fdatasync for the file backend; a no-op when the

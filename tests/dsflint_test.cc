@@ -111,6 +111,14 @@ TEST(DsflintFixtures, RawPageIoPinned) {
   EXPECT_EQ(report.findings[0].line, 12);
 }
 
+TEST(DsflintFixtures, RawPageRunIoPinned) {
+  const LintReport report =
+      RunOnFixtures(FixtureOptions(), {"raw_page_run.cc"});
+  ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
+  EXPECT_EQ(report.findings[0].kind, RuleKind::kRawPageIo);
+  EXPECT_EQ(report.findings[0].line, 13);
+}
+
 TEST(DsflintFixtures, RawSyscallIoPinned) {
   const LintReport report =
       RunOnFixtures(FixtureOptions(), {"raw_syscall.cc"});

@@ -2,14 +2,20 @@
 // replay parity between the in-memory simulation and the durable file
 // backend, reopen round-trips through DenseFile::Open, superblock
 // version rejection, torn-page (CRC) handling, the device-read shape of
-// a file with no in-memory page image, and device errors (failed
-// writes and barriers) surfacing as typed Status.
+// a file with no in-memory page image, run I/O (the whole-file passes'
+// one syscall per run of slots), and device errors (failed writes and
+// barriers) surfacing as typed Status.
+
+#include <signal.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
-#include <sys/stat.h>
 #include <vector>
 
 #include "analysis/auditor.h"
@@ -490,6 +496,272 @@ TEST(FileBackendDeviceReads, UnpooledReplayPreadsEqualPageReads) {
 }
 
 // ---------------------------------------------------------------------
+// Run I/O: the layout, Open's check pass and the repair gather move
+// consecutive slots per syscall; Stats::preads/pwrites still count
+// slots, and every slot keeps its own CRC verdict. These files ask for
+// O_DIRECT, so on a filesystem that honors it (not tmpfs) the aligned
+// run buffer goes straight to the device.
+
+int64_t RunCeil(int64_t pages) { return (pages + kRunPages - 1) / kRunPages; }
+
+FileBackend::Options DirectOptions(const ScopedTempDir& dir) {
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  fb.direct_io = true;
+  return fb;
+}
+
+// Four full runs, and d close to D so a full load populates most pages.
+DenseFile::Options RunOptions() {
+  DenseFile::Options options = UnauditedOptions();
+  options.num_pages = 256;
+  options.d = 16;
+  return options;
+}
+
+std::vector<Record> FullLoad(int64_t num_pages, int64_t d) {
+  return MakeAscendingRecords(num_pages * d, 10, 10);
+}
+
+FileBackend::Stats StatsOf(DenseFile& file) {
+  return static_cast<FileBackend*>(file.storage_backend())->stats();
+}
+
+TEST(FileBackendRuns, CorruptSlotFailsOnlyItselfInsideARun) {
+  ScopedTempDir dir("dsf-run-crc");
+  FileBackend::Options fb = DirectOptions(dir);
+  std::unique_ptr<FileBackend> backend = *FileBackend::Create(fb, 64, 21);
+  std::vector<std::vector<Record>> images(64);
+  std::vector<std::span<const Record>> spans;
+  for (Key a = 1; a <= 64; ++a) {
+    images[a - 1] = {{a * 10, a}, {a * 10 + 1, a}};
+    spans.emplace_back(images[a - 1]);
+  }
+  ASSERT_TRUE(backend->WriteRun(1, spans).ok());
+  EXPECT_EQ(backend->stats().pwrites, 64);
+  EXPECT_EQ(backend->stats().write_syscalls, 1);
+  ASSERT_TRUE(backend->CorruptPageForTesting(30).ok());
+
+  std::vector<Page> out(64, Page(21));
+  std::vector<Status> status(64);
+  backend->ReadRun(1, out, status);
+  EXPECT_EQ(backend->stats().preads, 64);
+  EXPECT_EQ(backend->stats().read_syscalls, 1);
+  for (Address a = 1; a <= 64; ++a) {
+    if (a == 30) {
+      EXPECT_TRUE(status[a - 1].IsCorruption()) << status[a - 1];
+      EXPECT_TRUE(out[a - 1].empty());
+    } else {
+      ASSERT_TRUE(status[a - 1].ok()) << a << ": " << status[a - 1];
+      EXPECT_EQ(out[a - 1].records(), images[a - 1]) << a;
+    }
+  }
+  // A run that leaves the file fails every slot, reading nothing.
+  std::vector<Page> past(2, Page(21));
+  std::vector<Status> past_status(2);
+  backend->ReadRun(64, past, past_status);
+  EXPECT_EQ(past_status[0].code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(past_status[1].code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(backend->WriteRun(64, std::span(spans).first(2)).code(),
+            StatusCode::kOutOfRange);
+}
+
+// Bytes this process has sent to block storage (/proc/self/io), or -1.
+int64_t ProcessWriteBytes() {
+  FILE* f = ::fopen("/proc/self/io", "r");
+  if (f == nullptr) return -1;
+  char key[64];
+  long long value = 0;
+  int64_t out = -1;
+  while (::fscanf(f, "%63s %lld", key, &value) == 2) {
+    if (std::string(key) == "write_bytes:") out = value;
+  }
+  ::fclose(f);
+  return out;
+}
+
+TEST(FileBackendRuns, LaterSyncedPageWriteWritesBackOnlyItsSlot) {
+  // A run written through the page cache would leave one large folio per
+  // run on filesystems that use them (ext4 on recent kernels), and each
+  // later synced single-page write would write the whole run back. On
+  // tmpfs nothing reaches block storage and the bound holds trivially.
+  ScopedTempDir dir("dsf-run-writeback");
+  FileBackend::Options fb;
+  fb.directory = dir.path();  // buffered, the default
+  std::unique_ptr<FileBackend> backend = *FileBackend::Create(fb, 256, 21);
+  const std::vector<Record> records = {{1, 1}, {2, 2}};
+  const std::vector<std::span<const Record>> spans(256, records);
+  ASSERT_TRUE(backend->WriteRun(1, spans).ok());
+  ASSERT_TRUE(backend->SyncBarrier().ok());
+  const int64_t before = ProcessWriteBytes();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/io";
+  Page page(21);
+  page.AppendHigh(records);
+  constexpr int64_t kWrites = 32;
+  for (int64_t i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(backend->WritePage(3 + 7 * i, page).ok());
+    ASSERT_TRUE(backend->SyncBarrier().ok());
+  }
+  EXPECT_LE(ProcessWriteBytes() - before, 2 * kWrites * 4096);
+}
+
+TEST(FileBackendRuns, ColdRunReadLeavesNoWholeFolioWriteBack) {
+  // Readahead over a cold sequential pass builds page-cache folios of up
+  // to 2 MiB on recent ext4, and each later synced page write would then
+  // write its whole folio back. The whole-file passes read explicit runs
+  // on a data file advised POSIX_FADV_RANDOM instead. The file must be
+  // large enough for readahead to ramp up: 16 MiB.
+  constexpr int64_t kSlots = 4096;
+  ScopedTempDir dir("dsf-run-cold-read");
+  FileBackend::Options fb;
+  fb.directory = dir.path();  // buffered, the default
+  std::unique_ptr<FileBackend> backend =
+      *FileBackend::Create(fb, kSlots, 21);
+  const std::vector<Record> records = {{1, 1}, {2, 2}};
+  const std::vector<std::span<const Record>> spans(kRunPages, records);
+  for (Address a = 1; a <= kSlots; a += kRunPages) {
+    ASSERT_TRUE(backend->WriteRun(a, spans).ok());
+  }
+  ASSERT_TRUE(backend->DropPageCacheForTesting().ok());
+  // The check pass of Open, against the cold file.
+  std::vector<Page> out(kRunPages, Page(21));
+  std::vector<Status> status(kRunPages);
+  for (Address a = 1; a <= kSlots; a += kRunPages) {
+    backend->ReadRun(a, out, status);
+    for (const Status& s : status) ASSERT_TRUE(s.ok()) << s;
+  }
+  const int64_t before = ProcessWriteBytes();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/io";
+  constexpr int64_t kWrites = 32;
+  for (int64_t i = 0; i < kWrites; ++i) {
+    ASSERT_TRUE(backend->WritePage(1 + 127 * i, out[0]).ok());
+    ASSERT_TRUE(backend->SyncBarrier().ok());
+  }
+  EXPECT_LE(ProcessWriteBytes() - before, 2 * kWrites * 4096);
+}
+
+TEST(FileBackendRuns, OpenQuarantinesOnlyTheCorruptSlotOfARun) {
+  ScopedTempDir dir("dsf-run-open");
+  FileBackend::Options fb = DirectOptions(dir);
+  DenseFile::Options options = RunOptions();
+  const std::vector<Record> initial = FullLoad(options.num_pages, options.d);
+  Address victim = 0;
+  std::vector<Record> neighbours;
+  {
+    options.backend_factory = FileBackend::CreateFactory(fb);
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    ASSERT_TRUE(file->BulkLoad(initial).ok());
+    // A populated victim inside the second run, between populated
+    // neighbours of the same run.
+    const PageFile& pages = file->control().file();
+    for (Address a = kRunPages + kRunPages / 2; a < 2 * kRunPages; ++a) {
+      if (!pages.Peek(a - 1).empty() && !pages.Peek(a).empty() &&
+          !pages.Peek(a + 1).empty()) {
+        victim = a;
+        break;
+      }
+    }
+    ASSERT_NE(victim, 0);
+    for (const Address a : {victim - 1, victim + 1}) {
+      const Page& page = pages.Peek(a);
+      neighbours.insert(neighbours.end(), page.records().begin(),
+                        page.records().end());
+    }
+  }
+  {
+    std::unique_ptr<FileBackend> raw = *FileBackend::Open(fb);
+    ASSERT_TRUE(raw->CorruptPageForTesting(victim).ok());
+  }
+  options.backend_factory = FileBackend::OpenFactory(fb);
+  StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  DenseFile& file = **reopened;
+  EXPECT_EQ(file.corrupt_pages_at_open(), std::vector<Address>{victim});
+  EXPECT_TRUE(file.Audit().ok()) << file.Audit().ToString();
+  for (const Record& r : neighbours) {
+    StatusOr<Value> v = file.Get(r.key);
+    ASSERT_TRUE(v.ok()) << "key " << r.key << ": " << v.status();
+    EXPECT_EQ(*v, r.value);
+  }
+  EXPECT_LT(static_cast<int64_t>(file.ScanAll()->size()),
+            static_cast<int64_t>(initial.size()));
+}
+
+TEST(FileBackendRuns, LoadAndCleanOpenMoveRunsPerSyscall) {
+  ScopedTempDir dir("dsf-run-syscalls");
+  FileBackend::Options fb = DirectOptions(dir);
+  DenseFile::Options options = RunOptions();
+  const std::vector<Record> initial = FullLoad(options.num_pages, options.d);
+  {
+    options.backend_factory = FileBackend::CreateFactory(fb);
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    ASSERT_TRUE(file->BulkLoad(initial).ok());
+    const FileBackend::Stats stats = StatsOf(*file);
+    EXPECT_EQ(stats.pwrites, options.num_pages);  // slots, as before
+    EXPECT_LE(stats.write_syscalls, RunCeil(options.num_pages));
+    EXPECT_EQ(stats.read_syscalls, 0);
+  }
+  options.backend_factory = FileBackend::OpenFactory(fb);
+  StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_FALSE((*reopened)->open_repair_report().rewrote_file);
+  const FileBackend::Stats stats = StatsOf(**reopened);
+  EXPECT_EQ(stats.preads, options.num_pages);  // slots, as before
+  EXPECT_LE(stats.read_syscalls, RunCeil(options.num_pages));
+  EXPECT_EQ(stats.write_syscalls, 0);
+  EXPECT_EQ(*(*reopened)->ScanAll(), initial);
+}
+
+TEST(FileBackendRuns, KillInsideALoadRunLeavesExactlyThePrefix) {
+  DenseFile::Options options = RunOptions();
+  const std::vector<Record> initial = FullLoad(options.num_pages, options.d);
+  // The uninterrupted layout, slot by slot.
+  ScopedTempDir ref_dir("dsf-run-kill-ref");
+  const FileBackend::Options ref = DirectOptions(ref_dir);
+  {
+    options.backend_factory = FileBackend::CreateFactory(ref);
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    ASSERT_TRUE(file->BulkLoad(initial).ok());
+  }
+  std::unique_ptr<FileBackend> expected = *FileBackend::Open(ref);
+
+  // k falls strictly inside the second run.
+  const int64_t k = kRunPages + 7;
+  ScopedTempDir dir("dsf-run-kill");
+  FileBackend::Options fb = DirectOptions(dir);
+  fb.kill_after_writes = k;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << "fork failed";
+  if (child == 0) {
+    options.backend_factory = FileBackend::CreateFactory(fb);
+    StatusOr<std::unique_ptr<DenseFile>> file = DenseFile::Create(options);
+    if (!file.ok() || !(*file)->BulkLoad(initial).ok()) ::_exit(3);
+    ::_exit(0);  // not reached: the load writes more than k slots
+  }
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "child exited " << wstatus;
+  ASSERT_EQ(WTERMSIG(wstatus), SIGKILL);
+
+  fb.kill_after_writes = -1;
+  std::unique_ptr<FileBackend> killed = *FileBackend::Open(fb);
+  Page want(killed->page_capacity());
+  Page got(killed->page_capacity());
+  int64_t unwritten_content = 0;
+  for (Address a = 1; a <= options.num_pages; ++a) {
+    ASSERT_TRUE(expected->ReadPage(a, &want).ok());
+    ASSERT_TRUE(killed->ReadPage(a, &got).ok()) << a;
+    if (a <= k) {
+      EXPECT_EQ(got.records(), want.records()) << "slot " << a;
+    } else {
+      EXPECT_TRUE(got.empty()) << "slot " << a << " written past the kill";
+      unwritten_content += want.size();
+    }
+  }
+  EXPECT_GT(unwritten_content, 0);  // the kill really cut the load short
+}
+
+// ---------------------------------------------------------------------
 // Device errors: a failing backend surfaces as a typed Status, never an
 // abort, and a failed barrier is never retried into a false success.
 
@@ -510,6 +782,7 @@ class FlakyBackend : public MemoryBackend {
   Status WritePage(Address address, const Page& page) override {
     if (writes_before_failure == 0) return Status::IoError("injected EIO");
     if (writes_before_failure > 0) --writes_before_failure;
+    ++writes;
     return MemoryBackend::WritePage(address, page);
   }
   Status SyncBarrier() override {
@@ -522,6 +795,7 @@ class FlakyBackend : public MemoryBackend {
   }
 
   int64_t writes_before_failure = -1;  // -1: never fail
+  int64_t writes = 0;                  // successful WritePage calls
   int64_t syncs_to_fail = 0;
   int64_t sync_calls = 0;
   Address failing_read_page = 0;  // 0: every read succeeds
@@ -581,6 +855,35 @@ TEST(DeviceErrors, RepairKeepsRecordsOnReadError) {
   flaky->failing_read_page = 1;
   EXPECT_TRUE(file->CheckAndRepair().status().IsIoError());
   EXPECT_TRUE(file->ValidateInvariants().IsIoError());
+
+  flaky->failing_read_page = 0;
+  StatusOr<RepairReport> report = file->CheckAndRepair();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->corrupt_pages.empty());
+  EXPECT_FALSE(report->rewrote_file);
+  EXPECT_EQ(*file->ScanAll(), initial);
+}
+
+TEST(DeviceErrors, ReadErrorInsideARunRewritesNothing) {
+  FlakyBackend* flaky = nullptr;
+  DenseFile::Options options = RunOptions();
+  options.backend_factory = [&flaky](int64_t num_pages, int64_t page_capacity)
+      -> StatusOr<std::unique_ptr<StorageBackend>> {
+    auto backend = std::make_unique<FlakyBackend>(num_pages, page_capacity);
+    flaky = backend.get();
+    return std::unique_ptr<StorageBackend>(std::move(backend));
+  };
+  std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+  const std::vector<Record> initial = FullLoad(options.num_pages, options.d);
+  ASSERT_TRUE(file->BulkLoad(initial).ok());
+
+  // The run read goes through the default ReadRun, so the failing slot
+  // sits mid-run with readable neighbours on both sides.
+  flaky->failing_read_page = kRunPages + 5;
+  const int64_t writes = flaky->writes;
+  EXPECT_TRUE(file->CheckAndRepair().status().IsIoError());
+  EXPECT_TRUE(file->ValidateInvariants().IsIoError());
+  EXPECT_EQ(flaky->writes, writes);  // no quarantine, no rewrite
 
   flaky->failing_read_page = 0;
   StatusOr<RepairReport> report = file->CheckAndRepair();

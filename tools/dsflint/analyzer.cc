@@ -931,9 +931,10 @@ void Engine::TokenRules(int file_index) {
     const Token& tok = t[i];
     if (!IsIdent(tok)) continue;
 
-    // raw-page-io: `.RawWrite(` — the unaccounted device write — outside
-    // the storage layer.
-    if (strict && RuleEnabled("raw-page-io") && tok.text == "RawWrite" &&
+    // raw-page-io: `.RawWrite(` / `.RawWriteRun(` — the unaccounted
+    // device writes — outside the storage layer.
+    if (strict && RuleEnabled("raw-page-io") &&
+        (tok.text == "RawWrite" || tok.text == "RawWriteRun") &&
         i >= 1 && (Is(t[i - 1], ".") || Is(t[i - 1], "->")) &&
         i + 1 < t.size() && Is(t[i + 1], "(") &&
         !PathContainsAny(f.path, options_.raw_page_dirs)) {
