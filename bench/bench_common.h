@@ -6,6 +6,9 @@
 #ifndef DSF_BENCH_BENCH_COMMON_H_
 #define DSF_BENCH_BENCH_COMMON_H_
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <iomanip>
 #include <iostream>
@@ -74,6 +77,28 @@ inline void Section(const std::string& title) {
 }
 
 inline void Note(const std::string& text) { std::cout << text << "\n"; }
+
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Where a BENCH_*.json artifact was measured: the JSON lines naming the
+// host, its online CPUs, the build type and the repetitions per row.
+inline void WriteProvenance(std::ostream& os, int64_t repetitions) {
+  char host[256] = {0};
+  if (::gethostname(host, sizeof(host) - 1) != 0) {
+    std::string("unknown").copy(host, sizeof(host) - 1);
+  }
+  os << "  \"host\": \"" << host << "\",\n";
+  os << "  \"num_cpus\": " << ::sysconf(_SC_NPROCESSORS_ONLN) << ",\n";
+#ifdef NDEBUG
+  os << "  \"build_type\": \"release\",\n";
+#else
+  os << "  \"build_type\": \"debug\",\n";
+#endif
+  os << "  \"repetitions\": " << repetitions << ",\n";
+}
 
 }  // namespace dsf::bench
 

@@ -27,7 +27,6 @@
 //                      [--dir=PATH] [--out=PATH]
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -170,19 +169,8 @@ Row RunConfig(const Config& config, const Trace& trace, int64_t num_pages,
   return row;
 }
 
-std::string HostName() {
-  char name[256] = {0};
-  if (::gethostname(name, sizeof(name) - 1) != 0) return "unknown";
-  return name;
-}
-
 // Runs per config; each row reports median times.
 constexpr int64_t kReps = 3;
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 // The median wall, load and open times over kReps runs of one config;
 // the accounting of every run is identical, so the row keeps the last
@@ -197,9 +185,9 @@ Row RunMedian(const Config& config, const Trace& trace, int64_t num_pages,
     loads.push_back(row.load_seconds);
     opens.push_back(row.open_seconds);
   }
-  row.wall_seconds = Median(walls);
-  row.load_seconds = Median(loads);
-  row.open_seconds = Median(opens);
+  row.wall_seconds = bench::Median(walls);
+  row.load_seconds = bench::Median(loads);
+  row.open_seconds = bench::Median(opens);
   row.ops_per_second = static_cast<double>(trace.size()) / row.wall_seconds;
   return row;
 }
@@ -208,14 +196,7 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
                int64_t num_pages, int64_t total_ops, int64_t fill_percent) {
   os << "{\n";
   os << "  \"benchmark\": \"durable_sweep\",\n";
-  os << "  \"host\": \"" << HostName() << "\",\n";
-  os << "  \"num_cpus\": " << ::sysconf(_SC_NPROCESSORS_ONLN) << ",\n";
-#ifdef NDEBUG
-  os << "  \"build_type\": \"release\",\n";
-#else
-  os << "  \"build_type\": \"debug\",\n";
-#endif
-  os << "  \"repetitions\": " << kReps << ",\n";
+  bench::WriteProvenance(os, kReps);
   os << "  \"num_pages\": " << num_pages << ",\n";
   os << "  \"total_ops\": " << total_ops << ",\n";
   os << "  \"fill_percent\": " << fill_percent << ",\n";

@@ -21,6 +21,17 @@
 // Pass --page_latency_us=0 for the pure in-memory variant; only the
 // first effect remains, and extra threads only add contention.
 //
+// The mixed mode starts with a load/repair section: Create + BulkLoad
+// (and BulkLoad alone) and CheckAndRepair of a fixed 16384-page file
+// split into S in {1, 2, 4, 8} shards, with no page latency, each the
+// median of kLoadRepairReps runs (the JSON's "repetitions"; the sweep
+// rows are single runs). BulkLoad and CheckAndRepair are whole-file
+// passes that fan out across shards, one thread per shard up to the
+// host's cores, so their time per S shows what the fan-out saves per
+// pass; Create stays on the calling thread. The section runs before the
+// sweep because a heap the sweep has churned makes Create several times
+// slower.
+//
 // Usage: shard_scaling [--ops=N] [--total_pages=M] [--fill_percent=F]
 //                      [--page_latency_us=U] [--staging_bytes=B]
 //                      [--mode=mixed|rwlock] [--out=PATH]
@@ -44,6 +55,7 @@
 // approaches the thread count even on a single core.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -85,15 +97,12 @@ struct Row {
   std::vector<StagingStats> per_shard_staging;
 };
 
-Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
-              Key key_space, int64_t fill_percent, int64_t page_latency_us,
-              int64_t staging_bytes, bool read_mostly = false,
-              bool exclusive_reads = false) {
+// `shards` shards over total_pages pages of the sweep's geometry.
+ShardedDenseFile::Options GeometryOptions(int shards, int64_t total_pages,
+                                          Key key_space) {
   ShardedDenseFile::Options options;
-  options.num_shards = config.shards;
+  options.num_shards = shards;
   options.key_space = key_space;
-  options.staging_bytes = staging_bytes;
-  options.exclusive_reads = exclusive_reads;
   // Same page geometry everywhere: d = 8, D = 36, so D - d = 28. The
   // unsharded 4096-page file misses Theorem 5.7's gap condition
   // (28 <= 3*ceil(log 4096) = 36) and runs on auto-selected K = 2
@@ -101,22 +110,36 @@ Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
   // K = 1 — the gap condition *easing* as M shrinks is one of the
   // structural wins sharding buys (here it costs the big file little,
   // since partially filled blocks pack into their prefix pages).
-  options.shard.num_pages = total_pages / config.shards;
+  options.shard.num_pages = total_pages / shards;
   options.shard.d = 8;
   options.shard.D = 36;
-  StatusOr<std::unique_ptr<ShardedDenseFile>> file =
-      ShardedDenseFile::Create(options);
-  DSF_CHECK(file.ok()) << file.status();
+  return options;
+}
 
-  // Warm start at fill_percent of capacity: every (100/(100-f))-th key
-  // left out, approximately evenly over the key space.
+// Warm start at fill_percent of capacity: every (100/(100-f))-th key
+// left out, approximately evenly over the key space.
+std::vector<Record> WarmStart(Key key_space, int64_t fill_percent) {
   std::vector<Record> initial;
   initial.reserve(static_cast<size_t>(key_space));
   const int64_t skip = std::max<int64_t>(2, 100 / (100 - fill_percent));
   for (Key k = 1; k <= key_space; ++k) {
     if (static_cast<int64_t>(k % skip) != 0) initial.push_back(Record{k, k});
   }
-  DSF_CHECK((*file)->BulkLoad(initial).ok());
+  return initial;
+}
+
+Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
+              Key key_space, int64_t fill_percent, int64_t page_latency_us,
+              int64_t staging_bytes, bool read_mostly = false,
+              bool exclusive_reads = false) {
+  ShardedDenseFile::Options options =
+      GeometryOptions(config.shards, total_pages, key_space);
+  options.staging_bytes = staging_bytes;
+  options.exclusive_reads = exclusive_reads;
+  StatusOr<std::unique_ptr<ShardedDenseFile>> file =
+      ShardedDenseFile::Create(options);
+  DSF_CHECK(file.ok()) << file.status();
+  DSF_CHECK((*file)->BulkLoad(WarmStart(key_space, fill_percent)).ok());
   (*file)->ResetStats();
   // The device model applies to the measured traffic only, not the load.
   (*file)->SetAccessLatency(std::chrono::microseconds(page_latency_us));
@@ -171,13 +194,55 @@ Row RunConfig(const Config& config, int64_t total_pages, int64_t total_ops,
   return row;
 }
 
+constexpr int64_t kLoadRepairPages = 16384;
+constexpr int64_t kLoadRepairReps = 15;
+
+// Medians over kLoadRepairReps runs.
+struct LoadRepairRow {
+  int shards = 0;
+  double setup_ms = 0;   // Create + BulkLoad
+  double load_ms = 0;    // BulkLoad alone
+  double repair_ms = 0;  // CheckAndRepair of the freshly loaded file
+};
+
+LoadRepairRow RunLoadRepair(int shards, int64_t fill_percent) {
+  const Key key_space = static_cast<Key>(kLoadRepairPages) * 8;
+  const std::vector<Record> initial = WarmStart(key_space, fill_percent);
+  const auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<double> setups;
+  std::vector<double> loads;
+  std::vector<double> repairs;
+  for (int64_t r = 0; r < kLoadRepairReps; ++r) {
+    const auto create_start = std::chrono::steady_clock::now();
+    StatusOr<std::unique_ptr<ShardedDenseFile>> file =
+        ShardedDenseFile::Create(
+            GeometryOptions(shards, kLoadRepairPages, key_space));
+    DSF_CHECK(file.ok()) << file.status();
+    const auto load_start = std::chrono::steady_clock::now();
+    DSF_CHECK((*file)->BulkLoad(initial).ok());
+    loads.push_back(ms_since(load_start));
+    setups.push_back(ms_since(create_start));
+    const auto repair_start = std::chrono::steady_clock::now();
+    DSF_CHECK((*file)->CheckAndRepair().ok());
+    repairs.push_back(ms_since(repair_start));
+  }
+  return {shards, bench::Median(setups), bench::Median(loads),
+          bench::Median(repairs)};
+}
+
 void WriteJson(std::ostream& os, const std::vector<Row>& rows,
+               const std::vector<LoadRepairRow>& load_repair,
                int64_t total_pages, int64_t total_ops, Key key_space,
                int64_t fill_percent, int64_t page_latency_us,
                int64_t staging_bytes) {
   const double base = rows.front().insert_delete_ops_per_second;
   os << "{\n";
   os << "  \"benchmark\": \"shard_scaling\",\n";
+  bench::WriteProvenance(os, kLoadRepairReps);
   os << "  \"total_pages\": " << total_pages << ",\n";
   os << "  \"total_ops\": " << total_ops << ",\n";
   os << "  \"key_space\": " << key_space << ",\n";
@@ -218,6 +283,16 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
          << ", \"drained_entries\": " << ss.drained_entries << "}";
     }
     os << "]}" << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  os << "  ],\n";
+  os << "  \"load_repair_pages\": " << kLoadRepairPages << ",\n";
+  os << "  \"load_repair\": [\n";
+  for (size_t i = 0; i < load_repair.size(); ++i) {
+    const LoadRepairRow& r = load_repair[i];
+    os << "    {\"shards\": " << r.shards << ", \"create_load_ms\": "
+       << r.setup_ms << ", \"bulk_load_ms\": " << r.load_ms
+       << ", \"repair_ms\": " << r.repair_ms << "}"
+       << (i + 1 < load_repair.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
 }
@@ -353,6 +428,20 @@ int Main(int argc, char** argv) {
                       page_latency_us, staging_bytes, out);
   }
 
+  bench::Section("E14: load and repair passes per shard count (" +
+                 std::to_string(kLoadRepairPages) +
+                 " pages, no page latency, median of " +
+                 std::to_string(kLoadRepairReps) + " runs)");
+  bench::Table load_table({"shards", "Create+BulkLoad ms", "BulkLoad ms",
+                           "CheckAndRepair ms"});
+  std::vector<LoadRepairRow> load_repair;
+  for (const int shards : {1, 2, 4, 8}) {
+    load_repair.push_back(RunLoadRepair(shards, fill_percent));
+    const LoadRepairRow& r = load_repair.back();
+    load_table.Row(shards, r.setup_ms, r.load_ms, r.repair_ms);
+  }
+  load_table.Print();
+
   const std::vector<Config> sweep = {
       {1, 1}, {1, 2}, {1, 4}, {1, 8}, {2, 4}, {2, 8}, {4, 8}, {8, 8},
   };
@@ -381,14 +470,15 @@ int Main(int argc, char** argv) {
   }
   table.Print();
 
+
   if (out == "-") {
-    WriteJson(std::cout, rows, total_pages, total_ops, key_space,
-              fill_percent, page_latency_us, staging_bytes);
+    WriteJson(std::cout, rows, load_repair, total_pages, total_ops,
+              key_space, fill_percent, page_latency_us, staging_bytes);
   } else {
     std::ofstream f(out);
     DSF_CHECK(f.good()) << "cannot open " << out;
-    WriteJson(f, rows, total_pages, total_ops, key_space, fill_percent,
-              page_latency_us, staging_bytes);
+    WriteJson(f, rows, load_repair, total_pages, total_ops, key_space,
+              fill_percent, page_latency_us, staging_bytes);
     bench::Note("JSON written to " + out);
   }
   return 0;

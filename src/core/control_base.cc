@@ -958,7 +958,7 @@ Status ControlBase::ValidateState() const {
 }
 
 std::vector<std::span<const Record>> ControlBase::UniformSlices(
-    const std::vector<Record>& records) const {
+    std::span<const Record> records) const {
   const int64_t n = static_cast<int64_t>(records.size());
   std::vector<std::span<const Record>> slices;
   slices.reserve(static_cast<size_t>(num_blocks_));
@@ -1019,7 +1019,7 @@ Status ControlBase::Load(const std::vector<std::span<const Record>>& slices) {
   return Status::OK();
 }
 
-Status ControlBase::BulkLoad(const std::vector<Record>& records) {
+Status ControlBase::CheckBulkLoad(std::span<const Record> records) const {
   if (static_cast<int64_t>(records.size()) > MaxRecords()) {
     return Status::CapacityExceeded("bulk load exceeds N = d*M records");
   }
@@ -1029,6 +1029,15 @@ Status ControlBase::BulkLoad(const std::vector<Record>& records) {
           "bulk load records must be strictly ascending by key");
     }
   }
+  return Status::OK();
+}
+
+Status ControlBase::BulkLoad(std::span<const Record> records) {
+  DSF_RETURN_IF_ERROR(CheckBulkLoad(records));
+  return LoadUniform(records);
+}
+
+Status ControlBase::LoadUniform(std::span<const Record> records) {
   return Load(UniformSlices(records));
 }
 

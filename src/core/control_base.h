@@ -275,7 +275,16 @@ class ControlBase {
   // Loads `records` (strictly ascending keys, size <= d*M) spread with
   // uniform density over the whole file — the initial condition of
   // Theorem 5.5. Unaccounted; resets I/O and command statistics.
-  Status BulkLoad(const std::vector<Record>& records);
+  // BulkLoad is CheckBulkLoad, then LoadUniform.
+  Status BulkLoad(std::span<const Record> records);
+  // What BulkLoad accepts: at most d*M records (CapacityExceeded
+  // otherwise), keys strictly ascending (InvalidArgument otherwise).
+  // Touches nothing, so a caller can validate before it drops state that
+  // only a proceeding load makes stale, then call LoadUniform.
+  Status CheckBulkLoad(std::span<const Record> records) const;
+  // BulkLoad without its input check: `records` must have passed
+  // CheckBulkLoad.
+  Status LoadUniform(std::span<const Record> records);
 
   // Loads an explicit per-block distribution (per_block[i] goes to block
   // i+1; keys must ascend across the concatenation and each block must
@@ -468,7 +477,7 @@ class ControlBase {
   // Block b of B gets records [floor((b-1)n/B), floor(bn/B)): the uniform
   // density of Theorem 5.5's initial condition.
   std::vector<std::span<const Record>> UniformSlices(
-      const std::vector<Record>& records) const;
+      std::span<const Record> records) const;
   // BulkLoad/LoadLayout's shared body after validation: drop the cache,
   // lay out, make the load durable, and reset the statistics.
   Status Load(const std::vector<std::span<const Record>>& slices);

@@ -691,11 +691,13 @@ Status DenseFile::ResizeCache(int64_t new_frames) {
   return control_->pool()->Resize(new_frames);
 }
 
-Status DenseFile::BulkLoad(const std::vector<Record>& records) {
+Status DenseFile::BulkLoad(std::span<const Record> records) {
   // A load replaces the file's contents wholesale; staged mutations
-  // against the old contents are meaningless afterwards.
+  // against the old contents are meaningless afterwards — but only once
+  // the load proceeds: a rejected input must leave them in place.
+  DSF_RETURN_IF_ERROR(control_->CheckBulkLoad(records));
   DiscardStaging();
-  return MaybeAudit(control_->BulkLoad(records));
+  return MaybeAudit(control_->LoadUniform(records));
 }
 
 Status DenseFile::Flush() {

@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -204,8 +205,10 @@ class DenseFile {
   double ScanEfficiency() const { return control_->ScanEfficiency(); }
 
   // --- Loading ---
-  // Records must ascend strictly by key; spread at uniform density.
-  Status BulkLoad(const std::vector<Record>& records);
+  // Records must ascend strictly by key; spread at uniform density. A
+  // rejected input (unsorted, over capacity) changes nothing, staged
+  // entries included; a load that proceeds drops them.
+  Status BulkLoad(std::span<const Record> records);
 
   // --- Ingest staging (src/ingest/; see docs/INGEST.md) ---
   bool staging_enabled() const { return staging_ != nullptr; }

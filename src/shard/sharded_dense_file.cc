@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include "analysis/auditor.h"
 #include "ingest/memtable.h"
@@ -558,37 +559,85 @@ void ShardedDenseFile::SetFaultPolicy(int shard,
   s.file->set_fault_policy(std::move(policy));
 }
 
+Status ShardedDenseFile::FanOut(
+    const std::function<Status(int shard, DenseFile& file)>& pass) const {
+  const int s = num_shards();
+  std::vector<Status> results(static_cast<size_t>(s));
+  std::atomic<int> next{0};
+  const auto work = [&] {
+    for (int i = next.fetch_add(1, std::memory_order_relaxed); i < s;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      Shard& shard = *shards_[static_cast<size_t>(i)];
+      WriterMutexLock lock(shard.mu);
+      results[static_cast<size_t>(i)] = pass(i, *shard.file);
+    }
+  };
+  // hardware_concurrency() may report 0 (unknown): the caller alone.
+  const int workers = std::clamp(
+      static_cast<int>(std::thread::hardware_concurrency()), 1, s);
+  {
+    // Joined on scope exit, also when the caller's share unwinds.
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<size_t>(workers - 1));
+    for (int t = 1; t < workers; ++t) threads.emplace_back(work);
+    work();
+  }
+  for (const Status& result : results) {
+    if (!result.ok()) return result;
+  }
+  return Status::OK();
+}
+
+std::vector<std::span<const Record>> ShardedDenseFile::SliceByShard(
+    const std::vector<Record>& records) const {
+  // Ascending records route to ascending shards: each shard's share is a
+  // contiguous slice ending where keys reach its upper bound.
+  std::vector<std::span<const Record>> slices;
+  slices.reserve(static_cast<size_t>(num_shards()));
+  auto begin = records.begin();
+  for (int i = 0; i < num_shards(); ++i) {
+    const auto end =
+        i == num_shards() - 1
+            ? records.end()
+            : std::lower_bound(begin, records.end(),
+                               Record{ShardUpperBound(i), 0}, RecordKeyLess);
+    slices.emplace_back(begin, end);
+    begin = end;
+  }
+  return slices;
+}
+
 StatusOr<RepairReport> ShardedDenseFile::CheckAndRepair() {
-  RepairReport total;
-  for (const auto& shard : shards_) {
-    WriterMutexLock lock(shard->mu);
-    StatusOr<RepairReport> part = shard->file->CheckAndRepair();
+  std::vector<RepairReport> parts(static_cast<size_t>(num_shards()));
+  const Status repaired = FanOut([&parts](int i, DenseFile& file) {
+    StatusOr<RepairReport> part = file.CheckAndRepair();
     if (!part.ok()) return part.status();
-    total.blocks_scanned += part->blocks_scanned;
-    total.calibrator_resyncs += part->calibrator_resyncs;
-    total.duplicate_records_dropped += part->duplicate_records_dropped;
-    total.misordered_blocks += part->misordered_blocks;
-    total.overfull_pages += part->overfull_pages;
-    total.packing_violations += part->packing_violations;
+    parts[static_cast<size_t>(i)] = std::move(*part);
+    return Status::OK();
+  });
+  if (!repaired.ok()) return repaired;
+  RepairReport total;
+  // Merged in ascending shard order, so the report is deterministic.
+  for (const RepairReport& part : parts) {
+    total.blocks_scanned += part.blocks_scanned;
+    total.calibrator_resyncs += part.calibrator_resyncs;
+    total.duplicate_records_dropped += part.duplicate_records_dropped;
+    total.misordered_blocks += part.misordered_blocks;
+    total.overfull_pages += part.overfull_pages;
+    total.packing_violations += part.packing_violations;
     // Addresses are shard-local; the union still counts every torn slot.
     total.corrupt_pages.insert(total.corrupt_pages.end(),
-                               part->corrupt_pages.begin(),
-                               part->corrupt_pages.end());
-    total.rewrote_file = total.rewrote_file || part->rewrote_file;
+                               part.corrupt_pages.begin(),
+                               part.corrupt_pages.end());
+    total.rewrote_file = total.rewrote_file || part.rewrote_file;
     total.warning_state_rebuilt =
-        total.warning_state_rebuilt || part->warning_state_rebuilt;
+        total.warning_state_rebuilt || part.warning_state_rebuilt;
   }
   return total;
 }
 
 Status ShardedDenseFile::Flush() {
-  Status first_error = Status::OK();
-  for (const auto& shard : shards_) {
-    WriterMutexLock lock(shard->mu);
-    const Status s = shard->file->Flush();
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
+  return FanOut([](int, DenseFile& file) { return file.Flush(); });
 }
 
 void ShardedDenseFile::DiscardCaches() {
@@ -599,13 +648,7 @@ void ShardedDenseFile::DiscardCaches() {
 }
 
 Status ShardedDenseFile::FlushStaging() {
-  Status first_error = Status::OK();
-  for (const auto& shard : shards_) {
-    WriterMutexLock lock(shard->mu);
-    const Status s = shard->file->FlushStaging();
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
-  return first_error;
+  return FanOut([](int, DenseFile& file) { return file.FlushStaging(); });
 }
 
 void ShardedDenseFile::DiscardStaging() {
@@ -666,29 +709,17 @@ Status ShardedDenseFile::InsertBatch(const std::vector<Record>& records) {
           "batch records must be strictly ascending by key");
     }
   }
-  // Ascending records route to ascending shards: each shard's share is a
-  // contiguous slice ending where keys reach its upper bound.
-  size_t begin = 0;
-  for (int i = 0; i < num_shards() && begin < records.size(); ++i) {
-    size_t end = records.size();
-    if (i < num_shards() - 1) {
-      end = static_cast<size_t>(
-          std::lower_bound(records.begin() + static_cast<int64_t>(begin),
-                           records.end(), Record{ShardUpperBound(i), 0},
-                           RecordKeyLess) -
-          records.begin());
-    }
-    if (end > begin) {
-      // Ascent was validated once above, so each shard takes its slice
-      // through the sorted fast path — a pointer range straight into the
-      // caller's vector, no defensive copy and no re-validation.
-      Shard& shard = *shards_[static_cast<size_t>(i)];
-      WriterMutexLock lock(shard.mu);
-      DSF_RETURN_IF_ERROR(
-          shard.file->InsertBatchSorted(records.data() + begin,
-                                        records.data() + end));
-    }
-    begin = end;
+  const std::vector<std::span<const Record>> slices = SliceByShard(records);
+  for (int i = 0; i < num_shards(); ++i) {
+    const std::span<const Record> slice = slices[static_cast<size_t>(i)];
+    if (slice.empty()) continue;
+    // Ascent was validated once above, so each shard takes its slice
+    // through the sorted fast path — a pointer range straight into the
+    // caller's vector, no defensive copy and no re-validation.
+    Shard& shard = *shards_[static_cast<size_t>(i)];
+    WriterMutexLock lock(shard.mu);
+    DSF_RETURN_IF_ERROR(shard.file->InsertBatchSorted(
+        slice.data(), slice.data() + slice.size()));
   }
   return Status::OK();
 }
@@ -700,43 +731,37 @@ Status ShardedDenseFile::BulkLoad(const std::vector<Record>& records) {
           "bulk load records must be strictly ascending by key");
     }
   }
-  size_t begin = 0;
+  const std::vector<std::span<const Record>> slices = SliceByShard(records);
+  // All or nothing: every slice is checked against its shard's capacity
+  // before any shard is touched, so a rejected load changes nothing.
   for (int i = 0; i < num_shards(); ++i) {
-    size_t end = records.size();
-    if (i < num_shards() - 1) {
-      end = static_cast<size_t>(
-          std::lower_bound(records.begin() + static_cast<int64_t>(begin),
-                           records.end(), Record{ShardUpperBound(i), 0},
-                           RecordKeyLess) -
-          records.begin());
+    const int64_t n =
+        static_cast<int64_t>(slices[static_cast<size_t>(i)].size());
+    const Shard& shard = *shards_[static_cast<size_t>(i)];
+    ReaderMutexLock lock(shard.mu);
+    if (n > shard.file->capacity()) {
+      return Status::CapacityExceeded(
+          "bulk load routes " + std::to_string(n) + " records to shard " +
+          std::to_string(i) + ", over its capacity of " +
+          std::to_string(shard.file->capacity()));
     }
-    const std::vector<Record> slice(
-        records.begin() + static_cast<int64_t>(begin),
-        records.begin() + static_cast<int64_t>(end));
-    Shard& shard = *shards_[static_cast<size_t>(i)];
-    WriterMutexLock lock(shard.mu);
-    DSF_RETURN_IF_ERROR(shard.file->BulkLoad(slice));
-    begin = end;
   }
-  return Status::OK();
+  // Each shard lays out its own slice — a view into `records`, no copy.
+  return FanOut([&slices](int i, DenseFile& file) {
+    return file.BulkLoad(slices[static_cast<size_t>(i)]);
+  });
 }
 
 Status ShardedDenseFile::Compact() {
-  for (const auto& shard : shards_) {
-    WriterMutexLock lock(shard->mu);
-    DSF_RETURN_IF_ERROR(shard->file->Compact());
-  }
-  return Status::OK();
+  return FanOut([](int, DenseFile& file) { return file.Compact(); });
 }
 
 Status ShardedDenseFile::ValidateInvariants() const {
-  for (int i = 0; i < num_shards(); ++i) {
-    const Shard& shard = *shards_[static_cast<size_t>(i)];
-    WriterMutexLock lock(shard.mu);
-    DSF_RETURN_IF_ERROR(shard.file->ValidateInvariants());
+  return FanOut([this](int i, DenseFile& file) {
+    DSF_RETURN_IF_ERROR(file.ValidateInvariants());
     // Routing invariant also covers the staging buffer: a staged key
     // that drains into a foreign range would break the global order.
-    const Memtable* staging = shard.file->staging();
+    const Memtable* staging = file.staging();
     if (staging != nullptr && !staging->empty()) {
       const Key staged_min = staging->entries().front().record.key;
       const Key staged_max = staging->entries().back().record.key;
@@ -747,8 +772,8 @@ Status ShardedDenseFile::ValidateInvariants() const {
       }
     }
     // Routing invariant: every stored key lies in the shard's range.
-    const Calibrator& cal = shard.file->control().calibrator();
-    if (cal.TotalRecords() == 0) continue;
+    const Calibrator& cal = file.control().calibrator();
+    if (cal.TotalRecords() == 0) return Status::OK();
     const Key min_key = cal.MinKeyOf(cal.root());
     const Key max_key = cal.MaxKeyOf(cal.root());
     if (min_key < ShardLowerBound(i) ||
@@ -756,8 +781,8 @@ Status ShardedDenseFile::ValidateInvariants() const {
       return Status::Corruption("shard " + std::to_string(i) +
                                 " holds keys outside its routed range");
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 AuditReport ShardedDenseFile::Audit() const {

@@ -21,9 +21,13 @@
 //    exclusive. Locks are always acquired in ascending shard order —
 //    one global order, hence no deadlock — so a scan racing a range
 //    delete sees all-or-nothing, never a half-deleted prefix.
-//  - Whole-file maintenance (Flush, Compact, BulkLoad, ...) visits
-//    shards in ascending order, one exclusive lock at a time; read-only
-//    aggregates (stats, size) visit one shared lock at a time.
+//  - Whole-file passes (BulkLoad, CheckAndRepair, Flush, FlushStaging,
+//    Compact, ValidateInvariants) fan out: each shard's pass runs on its
+//    own thread under that shard's exclusive lock, one lock per thread,
+//    and every shard runs its pass even when another fails. The result
+//    is merged in ascending shard order: the lowest-index shard's error
+//    wins. Other cross-shard maintenance and read-only aggregates
+//    (stats, size) visit shards in ascending order, one lock at a time.
 // Options::exclusive_reads restores the pre-reader/writer behavior
 // (every operation exclusive) for A/B benchmarking.
 //
@@ -40,7 +44,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/control_base.h"
@@ -153,16 +159,24 @@ class ShardedDenseFile {
   StatusOr<std::vector<Record>> ScanAll() const;
   StatusOr<int64_t> DeleteRange(Key lo, Key hi);
   // Strictly-ascending records, routed per shard, inserted one command at
-  // a time. Stops at the first error.
+  // a time, shard by shard in ascending order. Stops at the first error:
+  // the records before it stay committed.
   Status InsertBatch(const std::vector<Record>& records);
   // Loads strictly-ascending records; each shard receives its slice at
-  // uniform density. Splitters are fixed — records route by them, so a
-  // slice can exceed one shard's capacity if the splitters fit the data
-  // poorly (CapacityExceeded; choose splitters with LearnSplitters).
+  // uniform density, all shards in parallel. Splitters are fixed —
+  // records route by them, so a slice can exceed one shard's capacity if
+  // the splitters fit the data poorly (CapacityExceeded; choose
+  // splitters with LearnSplitters). All or nothing on rejection: order
+  // and every slice's capacity are checked before any shard is touched.
+  // A device error during the layout fails only its own shard; the
+  // others are loaded, and the lowest-index error is returned.
   Status BulkLoad(const std::vector<Record>& records);
+  // Compacts every shard in parallel; lowest-index error wins, the
+  // other shards still compact.
   Status Compact();
   // Per-shard invariant sweep plus the routing invariant: every record
-  // lives in the shard its key routes to.
+  // lives in the shard its key routes to. Shards are checked in
+  // parallel; the lowest-index violation is returned.
   Status ValidateInvariants() const;
 
   // Typed audit across all shards (ascending, one lock at a time): each
@@ -176,11 +190,13 @@ class ShardedDenseFile {
   // Installs (or clears) a fault schedule on one shard's page store.
   // Shards model independent devices, so each carries its own policy.
   void SetFaultPolicy(int shard, std::shared_ptr<FaultPolicy> policy);
-  // Runs DenseFile::CheckAndRepair on every shard (ascending, one lock at
-  // a time) and aggregates the reports: counters summed, flags OR-ed.
+  // Runs DenseFile::CheckAndRepair on every shard in parallel and
+  // aggregates the reports in ascending shard order: counters summed,
+  // flags OR-ed, corrupt_pages concatenated. A shard that fails does not
+  // stop the others' repair; the lowest-index error is returned.
   StatusOr<RepairReport> CheckAndRepair();
-  // Flushes every shard's staging buffer and pool (ascending, one lock
-  // at a time); first error wins, remaining shards still flush.
+  // Flushes every shard's staging buffer and pool in parallel; the
+  // lowest-index error wins, the other shards still flush.
   Status Flush();
   // Drops every shard's cached frames without write-back — the RAM half
   // of a whole-machine crash. Follow with CheckAndRepair(). (Staged
@@ -189,8 +205,8 @@ class ShardedDenseFile {
   void DiscardCaches();
 
   // --- Ingest staging (per-shard memtables; see docs/INGEST.md) ---
-  // Drains every shard's staging buffer to its file (ascending, one lock
-  // at a time) — the staging durability point.
+  // Drains every shard's staging buffer to its file, all shards in
+  // parallel — the staging durability point. Lowest-index error wins.
   Status FlushStaging();
   // Drops every shard's staged entries without draining — the volatile
   // half of a crash (pair with DiscardCaches()).
@@ -320,6 +336,23 @@ class ShardedDenseFile {
   // the last shard's open upper end).
   Key ShardLowerBound(int shard) const;
   Key ShardUpperBound(int shard) const;
+
+  // Runs pass(i, shard i's file) for every shard, each under that
+  // shard's own writer lock, on min(S, hardware threads) threads: the
+  // calling thread is one of them (S = 1 spawns none), and workers pull
+  // shard indices from a shared counter, so S may exceed the cores.
+  // Every thread holds exactly one shard lock at a time, which keeps the
+  // global ascending lock order. Every shard runs its pass; returns the
+  // lowest-index shard's error, or OK. What a worker allocates lands in
+  // its own malloc arena, which outlives the thread; Create, which
+  // allocates every page and pool frame, therefore builds the shards on
+  // the calling thread instead of through this helper.
+  Status FanOut(
+      const std::function<Status(int shard, DenseFile& file)>& pass) const;
+  // Splits strictly-ascending records into one contiguous slice per
+  // shard (possibly empty), by the splitters.
+  std::vector<std::span<const Record>> SliceByShard(
+      const std::vector<Record>& records) const;
 
   // Drain-on-rotate: after a point command on one shard releases its
   // lock, spend that command's piggyback budget on the *next* shard in

@@ -157,9 +157,9 @@ TEST(Control1, BulkLoadValidation) {
   EXPECT_TRUE(c->BulkLoad(MakeAscendingRecords(c->MaxRecords() + 1))
                   .IsCapacityExceeded());
   EXPECT_TRUE(
-      c->BulkLoad({Record{5, 0}, Record{5, 1}}).IsInvalidArgument());
+      c->BulkLoad(std::vector<Record>{{5, 0}, {5, 1}}).IsInvalidArgument());
   EXPECT_TRUE(
-      c->BulkLoad({Record{5, 0}, Record{4, 1}}).IsInvalidArgument());
+      c->BulkLoad(std::vector<Record>{{5, 0}, {4, 1}}).IsInvalidArgument());
 }
 
 }  // namespace

@@ -351,6 +351,30 @@ TEST(IngestStaging, CrashLosesStagedEntriesOnly) {
   ASSERT_TRUE(f->ValidateInvariants().ok());
 }
 
+TEST(IngestStaging, RejectedBulkLoadKeepsStagedEntries) {
+  std::unique_ptr<DenseFile> f = Make(StagedOptions());
+  ASSERT_TRUE(f->BulkLoad(MakeAscendingRecords(20, 2, 2)).ok());  // evens
+  ASSERT_TRUE(f->Insert(5, 55).ok());  // staged
+  ASSERT_TRUE(f->Delete(4).ok());      // staged tombstone
+  ASSERT_EQ(f->staging_size(), 2);
+  // Unsorted and over-capacity inputs are rejected before anything is
+  // replaced, so the staged put and tombstone must both survive.
+  EXPECT_TRUE(f->BulkLoad(std::vector<Record>{{9, 9}, {7, 7}})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(f->BulkLoad(MakeAscendingRecords(f->capacity() + 1))
+                  .IsCapacityExceeded());
+  EXPECT_EQ(f->staging_size(), 2);
+  StatusOr<Value> got = f->Get(5);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(*got, 55);
+  EXPECT_FALSE(f->Contains(4));
+  // A load that proceeds replaces the contents and drops what was staged.
+  ASSERT_TRUE(f->BulkLoad(MakeAscendingRecords(10, 100, 1)).ok());
+  EXPECT_EQ(f->staging_size(), 0);
+  EXPECT_FALSE(f->Contains(5));
+  ASSERT_TRUE(f->ValidateInvariants().ok());
+}
+
 TEST(IngestStaging, ShardedSplitsStagingAndAggregatesStats) {
   ShardedDenseFile::Options options;
   options.num_shards = 4;

@@ -11,7 +11,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -21,7 +23,9 @@
 #include "ingest/memtable.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "shard/sharded_dense_file.h"
+#include "storage/storage_backend.h"
 #include "util/deadlock.h"
 #include "workload/parallel_replayer.h"
 #include "workload/reference_model.h"
@@ -368,6 +372,341 @@ TEST(ShardedDenseFileTest, StatsAggregateBySummation) {
   file->ResetStats();
   EXPECT_EQ(file->io_stats().TotalAccesses(), 0);
   EXPECT_EQ(file->command_stats().commands, 0);
+}
+
+TEST(ShardedDenseFileTest, RejectedBulkLoadLeavesEveryShardUnchanged) {
+  // Splitters 1001, 2001, 3001; each shard holds at most 64 * 8 = 512.
+  std::unique_ptr<ShardedDenseFile> file = MakeFile(SmallOptions(4, 4000));
+  ASSERT_TRUE(file->BulkLoad(MakeAscendingRecords(390, 5, 10)).ok());
+  const std::vector<Record> before = *file->ScanAll();
+  // Skewed input: small slices for shards 0 and 1, then 600 keys inside
+  // shard 2's range. Every slice is checked before any shard is touched,
+  // so not even the fitting shards 0 and 1 may be replaced.
+  std::vector<Record> skewed = MakeAscendingRecords(20, 1, 1);
+  const std::vector<Record> second = MakeAscendingRecords(20, 1001, 1);
+  const std::vector<Record> third = MakeAscendingRecords(600, 2001, 1);
+  skewed.insert(skewed.end(), second.begin(), second.end());
+  skewed.insert(skewed.end(), third.begin(), third.end());
+  EXPECT_TRUE(file->BulkLoad(skewed).IsCapacityExceeded());
+  EXPECT_EQ(*file->ScanAll(), before);
+  EXPECT_TRUE(
+      file->BulkLoad(std::vector<Record>{{9, 9}, {8, 8}}).IsInvalidArgument());
+  EXPECT_EQ(*file->ScanAll(), before);
+  EXPECT_TRUE(file->ValidateInvariants().ok());
+}
+
+// A MemoryBackend with scriptable device failures, tagged with its shard
+// so an error names the shard it came from: `torn` slots read as empty
+// with kCorruption until rewritten (a torn write's failed checksum),
+// `failing_read` fails with kIoError, and `fail_writes` refuses writes.
+class ShardBackend : public MemoryBackend {
+ public:
+  ShardBackend(int shard, int64_t num_pages, int64_t page_capacity)
+      : MemoryBackend(num_pages, page_capacity), shard_(shard) {}
+
+  Status ReadPage(Address address, Page* out) override {
+    if (address == failing_read) {
+      out->Clear();
+      return Status::IoError(Tag() + "injected read EIO");
+    }
+    if (torn.contains(address)) {
+      out->Clear();
+      return Status::Corruption(Tag() + "torn slot");
+    }
+    return MemoryBackend::ReadPage(address, out);
+  }
+  Status WritePage(Address address, const Page& page) override {
+    if (fail_writes) return Status::IoError(Tag() + "injected write EIO");
+    torn.erase(address);
+    return MemoryBackend::WritePage(address, page);
+  }
+
+  std::set<Address> torn;
+  Address failing_read = 0;  // 0: every read succeeds
+  bool fail_writes = false;
+
+ private:
+  std::string Tag() const { return "shard " + std::to_string(shard_) + ": "; }
+  const int shard_;
+};
+
+// Hands out ShardBackends and remembers them by shard ordinal; the files
+// own them, so this must outlive no file it served.
+class ShardBackends {
+ public:
+  StatusOr<std::unique_ptr<StorageBackend>> Make(int shard, int64_t num_pages,
+                                                 int64_t page_capacity) {
+    auto backend =
+        std::make_unique<ShardBackend>(shard, num_pages, page_capacity);
+    if (by_shard_.size() <= static_cast<size_t>(shard)) {
+      by_shard_.resize(static_cast<size_t>(shard) + 1);
+    }
+    by_shard_[static_cast<size_t>(shard)] = backend.get();
+    return std::unique_ptr<StorageBackend>(std::move(backend));
+  }
+  std::function<StatusOr<std::unique_ptr<StorageBackend>>(int, int64_t,
+                                                          int64_t)>
+  Factory() {
+    return [this](int shard, int64_t num_pages, int64_t page_capacity) {
+      return Make(shard, num_pages, page_capacity);
+    };
+  }
+  ShardBackend& operator[](int shard) {
+    return *by_shard_[static_cast<size_t>(shard)];
+  }
+
+ private:
+  std::vector<ShardBackend*> by_shard_;
+};
+
+void ExpectSameIo(const IoStats& fanned, const IoStats& serial, int shard) {
+  EXPECT_EQ(fanned.page_reads, serial.page_reads) << "shard " << shard;
+  EXPECT_EQ(fanned.page_writes, serial.page_writes) << "shard " << shard;
+  EXPECT_EQ(fanned.seeks, serial.seeks) << "shard " << shard;
+  EXPECT_EQ(fanned.sequential_accesses, serial.sequential_accesses)
+      << "shard " << shard;
+  EXPECT_EQ(fanned.logical_reads, serial.logical_reads) << "shard " << shard;
+  EXPECT_EQ(fanned.logical_writes, serial.logical_writes)
+      << "shard " << shard;
+}
+
+// The fan-out passes against the serial oracle: S stand-alone DenseFiles
+// built from the same per-shard options, each driven through the same
+// commands and passes one after another on this thread. S = 8 exceeds
+// the cores of most CI hosts, so workers must loop over shard indices.
+class ShardedFanOutTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardedFanOutTest, PassesMatchEachShardRunSerially) {
+  const int num_shards = GetParam();
+  const Key key_space = static_cast<Key>(num_shards) * 64 * 8;
+  MetricsRegistry registry;
+  CommandTracer tracer;
+  ShardBackends backends;
+  ShardedDenseFile::Options options = SmallOptions(num_shards, key_space);
+  options.shard.cache_frames = 8;
+  options.shard.staging_entries = 64;
+  options.shard.metrics = &registry;
+  options.shard.tracer = &tracer;
+  options.shard_backend_factory = backends.Factory();
+  std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
+
+  MetricsRegistry serial_registry;
+  CommandTracer serial_tracer;
+  ShardBackends serial_backends;
+  std::vector<std::unique_ptr<DenseFile>> serial;
+  for (int i = 0; i < num_shards; ++i) {
+    DenseFile::Options per_shard = options.shard;
+    per_shard.metrics = &serial_registry;
+    per_shard.tracer = &serial_tracer;
+    per_shard.metrics_label = "shard=\"" + std::to_string(i) + "\"";
+    per_shard.backend_factory = [&serial_backends, i](int64_t num_pages,
+                                                      int64_t capacity) {
+      return serial_backends.Make(i, num_pages, capacity);
+    };
+    StatusOr<std::unique_ptr<DenseFile>> made = DenseFile::Create(per_shard);
+    ASSERT_TRUE(made.ok()) << made.status();
+    serial.push_back(std::move(*made));
+  }
+  const auto slice = [&](const std::vector<Record>& records, int shard) {
+    std::vector<Record> out;
+    for (const Record& r : records) {
+      if (file->ShardOf(r.key) == shard) out.push_back(r);
+    }
+    return out;
+  };
+  const auto expect_same = [&](const char* after) {
+    SCOPED_TRACE(after);
+    std::vector<Record> concatenated;
+    for (int i = 0; i < num_shards; ++i) {
+      DenseFile& f = *serial[static_cast<size_t>(i)];
+      ExpectSameIo(file->shard_io_stats(i), f.io_stats(), i);
+      EXPECT_EQ(file->shard_command_stats(i).total_accesses,
+                f.command_stats().total_accesses);
+      EXPECT_EQ(file->shard_staging_stats(i).entries,
+                f.staging_stats().entries);
+      StatusOr<std::vector<Record>> part = f.ScanAll();
+      ASSERT_TRUE(part.ok()) << part.status();
+      concatenated.insert(concatenated.end(), part->begin(), part->end());
+    }
+    EXPECT_EQ(*file->ScanAll(), concatenated);
+  };
+
+  // Load: every even key.
+  const std::vector<Record> initial = MakeAscendingRecords(
+      static_cast<int64_t>(key_space / 2), 2, 2);
+  ASSERT_TRUE(file->BulkLoad(initial).ok());
+  for (int i = 0; i < num_shards; ++i) {
+    ASSERT_TRUE(serial[static_cast<size_t>(i)]->BulkLoad(slice(initial, i))
+                    .ok());
+  }
+  expect_same("BulkLoad");
+
+  // Skew: a dense batch of odd keys at the bottom of every shard, then a
+  // few staged point commands, kept below each buffer's drain trigger so
+  // the sharded file's round-robin drain never fires.
+  std::vector<Record> batch;
+  for (int i = 0; i < num_shards; ++i) {
+    const Key base = static_cast<Key>(i) * (key_space / num_shards);
+    for (Key k = base + 1; k < base + 120; k += 2) {
+      batch.push_back(Record{k, k});
+    }
+  }
+  ASSERT_TRUE(file->InsertBatch(batch).ok());
+  for (int i = 0; i < num_shards; ++i) {
+    const std::vector<Record> part = slice(batch, i);
+    ASSERT_TRUE(serial[static_cast<size_t>(i)]
+                    ->InsertBatchSorted(part.data(), part.data() + part.size())
+                    .ok());
+  }
+  const auto stage = [&](Key step_offset) {
+    for (int i = 0; i < num_shards; ++i) {
+      const Key base = static_cast<Key>(i) * (key_space / num_shards);
+      for (Key k = base + 201 + step_offset; k < base + 240; k += 8) {
+        ASSERT_TRUE(file->Insert(k, k).ok());
+        ASSERT_TRUE(serial[static_cast<size_t>(i)]->Insert(k, k).ok());
+        ASSERT_TRUE(file->Delete(k + 1).ok());
+        ASSERT_TRUE(serial[static_cast<size_t>(i)]->Delete(k + 1).ok());
+        for (const std::unique_ptr<DenseFile>& f : serial) {
+          ASSERT_FALSE(f->staging_wants_drain());
+        }
+      }
+    }
+  };
+  stage(0);
+  expect_same("staged commands");
+  ASSERT_GT(file->staging_stats().entries, 0);
+
+  ASSERT_TRUE(file->FlushStaging().ok());
+  for (const std::unique_ptr<DenseFile>& f : serial) {
+    ASSERT_TRUE(f->FlushStaging().ok());
+  }
+  expect_same("FlushStaging");
+
+  stage(2);
+  ASSERT_TRUE(file->Flush().ok());
+  for (const std::unique_ptr<DenseFile>& f : serial) {
+    ASSERT_TRUE(f->Flush().ok());
+  }
+  expect_same("Flush");
+
+  ASSERT_TRUE(file->Compact().ok());
+  for (const std::unique_ptr<DenseFile>& f : serial) {
+    ASSERT_TRUE(f->Compact().ok());
+  }
+  expect_same("Compact");
+
+  // Tear two slots per shard on both sides, so the merged report's
+  // corrupt_pages order (ascending shard, then address) is observable.
+  for (int i = 0; i < num_shards; ++i) {
+    const std::set<Address> torn = {static_cast<Address>(i) + 2,
+                                    static_cast<Address>(2 * i) + 20};
+    backends[i].torn = torn;
+    serial_backends[i].torn = torn;
+  }
+  StatusOr<RepairReport> report = file->CheckAndRepair();
+  ASSERT_TRUE(report.ok()) << report.status();
+  RepairReport merged;
+  for (const std::unique_ptr<DenseFile>& f : serial) {
+    StatusOr<RepairReport> part = f->CheckAndRepair();
+    ASSERT_TRUE(part.ok()) << part.status();
+    merged.blocks_scanned += part->blocks_scanned;
+    merged.calibrator_resyncs += part->calibrator_resyncs;
+    merged.duplicate_records_dropped += part->duplicate_records_dropped;
+    merged.misordered_blocks += part->misordered_blocks;
+    merged.overfull_pages += part->overfull_pages;
+    merged.packing_violations += part->packing_violations;
+    merged.corrupt_pages.insert(merged.corrupt_pages.end(),
+                                part->corrupt_pages.begin(),
+                                part->corrupt_pages.end());
+    merged.rewrote_file = merged.rewrote_file || part->rewrote_file;
+    merged.warning_state_rebuilt =
+        merged.warning_state_rebuilt || part->warning_state_rebuilt;
+  }
+  EXPECT_EQ(report->ToString(), merged.ToString());
+  EXPECT_EQ(report->corrupt_pages, merged.corrupt_pages);
+  EXPECT_EQ(report->corrupt_pages.size(),
+            2 * static_cast<size_t>(num_shards));
+  expect_same("CheckAndRepair");
+
+  EXPECT_TRUE(file->ValidateInvariants().ok());
+  for (const std::unique_ptr<DenseFile>& f : serial) {
+    EXPECT_TRUE(f->ValidateInvariants().ok());
+  }
+  expect_same("ValidateInvariants");
+  EXPECT_EQ(tracer.dropped(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedFanOutTest,
+                         ::testing::Values(1, 2, 4, 8),
+                         [](const ::testing::TestParamInfo<int>& param) {
+                           return "S" + std::to_string(param.param);
+                         });
+
+TEST(ShardedFanOutFaults, FailingShardDoesNotStopTheOthersRepair) {
+  ShardBackends backends;
+  ShardedDenseFile::Options options = SmallOptions(4, 4 * 64 * 8);
+  options.shard_backend_factory = backends.Factory();
+  std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
+  const std::vector<Record> initial = MakeAscendingRecords(4 * 64 * 4, 2, 2);
+  ASSERT_TRUE(file->BulkLoad(initial).ok());
+
+  // Shard 3: a torn-shift duplicate — page 1's last record copied into
+  // page 2, breaking the global key order without losing a record.
+  ShardBackend& damaged = backends[3];
+  Page first(file->options().shard.D + 1);
+  Page second(file->options().shard.D + 1);
+  ASSERT_TRUE(damaged.ReadPage(1, &first).ok());
+  ASSERT_TRUE(damaged.ReadPage(2, &second).ok());
+  ASSERT_FALSE(first.empty());
+  ASSERT_TRUE(second.Insert(first.records().back()).ok());
+  ASSERT_TRUE(damaged.WritePage(2, second).ok());
+  // Shard 1: its device cannot read one slot.
+  backends[1].failing_read = 5;
+
+  StatusOr<RepairReport> report = file->CheckAndRepair();
+  ASSERT_TRUE(report.status().IsIoError()) << report.status();
+  EXPECT_NE(report.status().message().find("shard 1"), std::string::npos)
+      << report.status();
+  // Shard 3 was repaired all the same.
+  backends[1].failing_read = 0;
+  ASSERT_TRUE(file->ValidateInvariants().ok());
+  EXPECT_EQ(*file->ScanAll(), initial);
+  report = file->CheckAndRepair();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->AnythingRepaired()) << report->ToString();
+}
+
+TEST(ShardedFanOutFaults, FlushAndCompactReturnLowestIndexErrorAndFinishTheRest) {
+  ShardBackends backends;
+  ShardedDenseFile::Options options = SmallOptions(4, 4 * 64 * 8);
+  options.shard.staging_entries = 64;
+  options.shard_backend_factory = backends.Factory();
+  std::unique_ptr<ShardedDenseFile> file = MakeFile(options);
+  ASSERT_TRUE(file->BulkLoad(MakeAscendingRecords(4 * 64 * 4, 2, 2)).ok());
+  for (int i = 0; i < 4; ++i) {
+    const Key base = static_cast<Key>(i) * 64 * 8;
+    for (Key k = base + 1; k < base + 20; k += 2) {
+      ASSERT_TRUE(file->Insert(k, k).ok());
+    }
+    ASSERT_GT(file->shard_staging_stats(i).entries, 0) << "shard " << i;
+  }
+  backends[1].fail_writes = true;
+  backends[2].fail_writes = true;
+
+  const Status flushed = file->Flush();
+  ASSERT_TRUE(flushed.IsIoError()) << flushed;
+  EXPECT_NE(flushed.message().find("shard 1"), std::string::npos) << flushed;
+  EXPECT_EQ(file->shard_staging_stats(0).entries, 0);
+  EXPECT_EQ(file->shard_staging_stats(3).entries, 0);
+
+  const int64_t writes0 = file->shard_io_stats(0).logical_writes;
+  const int64_t writes3 = file->shard_io_stats(3).logical_writes;
+  const Status compacted = file->Compact();
+  ASSERT_TRUE(compacted.IsIoError()) << compacted;
+  EXPECT_NE(compacted.message().find("shard 1"), std::string::npos)
+      << compacted;
+  EXPECT_GT(file->shard_io_stats(0).logical_writes, writes0);
+  EXPECT_GT(file->shard_io_stats(3).logical_writes, writes3);
 }
 
 TEST(ParallelReplayerTest, RangeMixesPartitionTheKeySpace) {
