@@ -2,6 +2,10 @@
 // These complement the page-access experiments E1-E9: the paper's cost
 // model counts I/O, but a library user also cares that the in-memory
 // bookkeeping (calibrator updates, SHIFT bookkeeping, searches) is cheap.
+//
+// The JSON context carries the host (google-benchmark's host_name) and
+// this binary's build_type; scripts/run_all_experiments.sh --bench runs
+// 5 repetitions and keeps only their aggregates (BENCH_core.json).
 
 #include <benchmark/benchmark.h>
 
@@ -401,6 +405,42 @@ void BM_Compact(benchmark::State& state) {
 }
 BENCHMARK(BM_Compact)->Arg(1024)->Arg(4096);
 
+// Create + BulkLoad at the dsfbench `uniform` geometry: M=16384, d=16,
+// D=64, loaded to 80% of d*M (20% of the M*D slots). In-memory pages
+// grow with their records (storage/page.h), so reserved_page_bytes —
+// the record storage the loaded pages hold — tracks the loaded records
+// (~3.4 MB) rather than M*(D+1) slots (~17 MB). Tearing the previous
+// file down is excluded from the timing.
+void BM_CreateAndBulkLoad(benchmark::State& state) {
+  DenseFile::Options options;
+  options.num_pages = 16384;
+  options.d = 16;
+  options.D = 64;
+  const int64_t n = options.d * options.num_pages * 8 / 10;
+  Rng rng(13);
+  const std::vector<Record> records =
+      MakeUniformRecords(n, static_cast<Key>(2 * n), rng);
+  std::unique_ptr<DenseFile> file;
+  for (auto _ : state) {
+    state.PauseTiming();
+    file.reset();
+    state.ResumeTiming();
+    file = std::move(*DenseFile::Create(options));
+    DSF_CHECK(file->BulkLoad(records).ok());
+  }
+  const PageFile& pages = file->control().file();
+  int64_t reserved = 0;
+  for (Address a = 1; a <= pages.num_pages(); ++a) {
+    reserved += static_cast<int64_t>(pages.Peek(a).records().capacity());
+  }
+  state.counters["reserved_page_bytes"] =
+      static_cast<double>(reserved * static_cast<int64_t>(sizeof(Record)));
+  state.counters["loaded_record_bytes"] =
+      static_cast<double>(n * static_cast<int64_t>(sizeof(Record)));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_CreateAndBulkLoad)->Unit(benchmark::kMillisecond);
+
 void BM_DeleteRangeTenth(benchmark::State& state) {
   std::unique_ptr<DenseFile> file =
       std::move(*DenseFile::Create(FileOptions(1024)));
@@ -422,4 +462,15 @@ BENCHMARK(BM_DeleteRangeTenth);
 }  // namespace
 }  // namespace dsf
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+#ifdef NDEBUG
+  benchmark::AddCustomContext("build_type", "release");
+#else
+  benchmark::AddCustomContext("build_type", "debug");
+#endif
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

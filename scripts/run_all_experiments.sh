@@ -5,8 +5,9 @@
 # With --bench, instead builds Release and refreshes the tracked
 # perf-trajectory artifacts at the repository root:
 #   BENCH_core.json   gbench_core (google-benchmark JSON: calibrator
-#                     sync, Compact, insert/delete/get, page search and
-#                     raw page-access microbenchmarks)
+#                     sync, Compact, insert/delete/get, page search,
+#                     raw page-access and Create+BulkLoad
+#                     microbenchmarks; 5 repetitions, aggregates only)
 #   BENCH_shard.json  shard_scaling (threads x shards throughput sweep)
 #   BENCH_cache.json  cache_sweep (buffer-pool size x workload skew:
 #                     throughput, hit rate, write amplification)
@@ -32,11 +33,12 @@
 # With --sanitize, instead runs the sanitizer matrix: an
 # address,undefined build driving the fault-injection / crash-recovery /
 # corruption / buffer-pool tests (the error paths ordinary runs rarely
-# execute), then a thread build driving the concurrency tests: the
-# sharded storms (exclusive and read-mostly shared-lock variants, with
-# the pooled storm running one buffer pool per shard mutex), the
-# concurrent shared-reader pin test in buffer_pool_test, and the obs
-# registry tests.
+# execute) and the page / page-file / CONTROL 2 tests (page storage
+# grows and reallocates on the write path), then a thread build driving
+# the concurrency tests: the sharded storms (exclusive and read-mostly
+# shared-lock variants, with the pooled storm running one buffer pool
+# per shard mutex), the concurrent shared-reader pin test in
+# buffer_pool_test, and the obs registry tests.
 #
 # With --analyze, instead runs the static-analysis gate: the project-rule
 # linter, the Clang -Wthread-safety -Werror build, and clang-tidy (layers
@@ -54,7 +56,7 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   cmake --build build-asan
   ASAN_OPTIONS=halt_on_error=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure \
-      -R 'fault_injection_test|crash_recovery_fuzz_test|corruption_test|sharded_file_test|fuzz_all_test|buffer_pool_test|ingest_test'
+      -R 'fault_injection_test|crash_recovery_fuzz_test|corruption_test|sharded_file_test|fuzz_all_test|buffer_pool_test|ingest_test|page_test|page_file_test|control2_test'
   cmake -B build-tsan -G Ninja -DDSF_SANITIZE=thread
   cmake --build build-tsan
   ctest --test-dir build-tsan --output-on-failure \
@@ -69,7 +71,9 @@ if [[ "${1:-}" == "--bench" ]]; then
     obs_certify ingest_sweep adaptive_sweep durable_sweep
   ./build-bench/bench/gbench_core \
     --benchmark_format=json \
-    --benchmark_min_time=0.2 > BENCH_core.json
+    --benchmark_min_time=0.2 \
+    --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+    > BENCH_core.json
   ./build-bench/bench/shard_scaling --out=BENCH_shard.json
   ./build-bench/bench/cache_sweep --out=BENCH_cache.json
   ./build-bench/bench/obs_certify --out=BENCH_obs.json

@@ -369,7 +369,12 @@ class BufferPool {
   friend class PageGuard;
 
   struct Frame {
-    explicit Frame(int64_t page_capacity) : page(page_capacity) {}
+    // A frame reserves all its slots up front (Page::ReserveFull):
+    // frames are recycled across pages and filled under mu_, so a fill
+    // never reallocates.
+    explicit Frame(int64_t page_capacity) : page(page_capacity) {
+      page.ReserveFull();
+    }
     Address address = 0;  // 0 = empty frame
     Page page;
     int32_t pins = 0;

@@ -9,7 +9,13 @@ namespace dsf {
 
 Page::Page(int64_t capacity) : capacity_(capacity) {
   DSF_CHECK(capacity >= 1) << "page capacity must be positive";
-  records_.reserve(static_cast<size_t>(capacity));
+}
+
+void Page::Grow(int64_t needed) {
+  const int64_t have = static_cast<int64_t>(records_.capacity());
+  if (needed <= have) return;
+  records_.reserve(
+      static_cast<size_t>(std::min(capacity_, std::max(needed, 2 * have))));
 }
 
 Status Page::Insert(const Record& record) {
@@ -20,6 +26,7 @@ Status Page::Insert(const Record& record) {
   if (pos < size() && records_[static_cast<size_t>(pos)].key == record.key) {
     return Status::AlreadyExists("duplicate key in page");
   }
+  Grow(size() + 1);
   records_.insert(records_.begin() + pos, record);
   return Status::OK();
 }
@@ -75,10 +82,12 @@ void Page::AppendHigh(const Record* begin, const Record* end) {
   DSF_CHECK(size() + (end - begin) <= capacity_)
       << "AppendHigh overflows page";
   for (const Record* r = begin; r != end; ++r) {
-    DSF_DCHECK(records_.empty() || records_.back().key < r->key)
+    DSF_DCHECK((r == begin ? records_.empty() || records_.back().key < r->key
+                           : (r - 1)->key < r->key))
         << "AppendHigh order violation";
-    records_.push_back(*r);
   }
+  Grow(size() + (end - begin));
+  records_.insert(records_.end(), begin, end);
 }
 
 void Page::PrependLow(const std::vector<Record>& records) {
@@ -87,6 +96,7 @@ void Page::PrependLow(const std::vector<Record>& records) {
   if (!records.empty()) {
     DSF_DCHECK(records_.empty() || records.back().key < records_.front().key)
         << "PrependLow order violation";
+    Grow(size() + static_cast<int64_t>(records.size()));
     records_.insert(records_.begin(), records.begin(), records.end());
   }
 }

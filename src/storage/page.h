@@ -5,6 +5,16 @@
 // below D, but physical capacity is D+1 because CONTROL 2 only restores
 // p(leaf) <= D at the *end* of a command (one extra record may transiently
 // sit in the insertion-target page before the J SHIFT cycles drain it).
+//
+// Capacity is a limit, not a reservation. A constructed page allocates
+// nothing; its record storage grows by one rule — to max(needed, twice
+// the current storage), never past capacity() — so memory follows the
+// records a page holds. That matters because (d,D)-density bounds a file
+// to d*M records: at most d/D of its M*D slots are ever occupied (25% at
+// d=16, D=64), and a bulk load allocates each page once, at its loaded
+// size. ReserveFull() opts a page into its whole capacity up front: the
+// buffer pool's frames use it, because they are recycled across pages
+// and filled under the pool mutex, where a reallocation must not happen.
 
 #ifndef DSF_STORAGE_PAGE_H_
 #define DSF_STORAGE_PAGE_H_
@@ -69,6 +79,10 @@ class Page {
   // rewrite paths clear and refill pages in place without reallocating.
   void Clear() { records_.clear(); }
 
+  // Reserves storage for all capacity() slots, so no later fill of this
+  // page reallocates.
+  void ReserveFull() { records_.reserve(static_cast<size_t>(capacity_)); }
+
   const std::vector<Record>& records() const { return records_; }
 
   // True iff records are strictly ascending by key and size <= capacity.
@@ -77,6 +91,9 @@ class Page {
   std::string DebugString() const;
 
  private:
+  // The growth rule: makes room for `needed` records (<= capacity_).
+  void Grow(int64_t needed);
+
   int64_t capacity_ = 0;
   std::vector<Record> records_;  // ascending by key
 };

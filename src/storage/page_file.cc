@@ -26,8 +26,8 @@ PageFile::PageFile(int64_t num_pages, int64_t page_capacity,
     write_scratch_ = Page(page_capacity);
     return;
   }
-  pages_.reserve(static_cast<size_t>(num_pages));
-  for (int64_t i = 0; i < num_pages; ++i) pages_.emplace_back(page_capacity);
+  // Empty pages allocate no record storage; each grows with its records.
+  pages_.assign(static_cast<size_t>(num_pages), Page(page_capacity));
 }
 
 // Fault charging and latency sleeping, in the order the fast path used to
@@ -106,10 +106,7 @@ Status PageFile::DeviceRead(Address address, Page* out) {
 
 Status PageFile::DeviceWrite(Address address, const Page& page) {
   DSF_RETURN_IF_ERROR(Charge(address, /*is_write=*/true));
-  if (backend_ == nullptr) {
-    pages_[static_cast<size_t>(address - 1)] = page;
-    return Status::OK();
-  }
+  if (backend_ == nullptr) return Store(address, page.records());
   return BackendWrite(address, page);
 }
 

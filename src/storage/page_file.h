@@ -26,10 +26,15 @@
 // Where the pages live. Without a StorageBackend the in-memory page
 // vector IS the simulated device, and the calls are zero-copy against
 // it (Read appends straight from the page, Write fills it in place).
-// With a backend there is no page vector at all: every call goes
-// straight to the backend (ReadPage/WritePage, or ReadRun/WriteRun for
-// the Run forms), so memory holds only what a BufferPool caches plus
-// Peek's thread-local scratch pages — the textbook external-memory shape
+// Its memory grows with the records the file holds, not with M*(D+1):
+// page capacity is a limit, so the constructor allocates no record
+// storage and a bulk load sizes each page once, to its loaded records
+// (storage/page.h). A BufferPool's frames, by contrast, stay fully
+// reserved, because they are refilled under the pool mutex. With a
+// backend there is no page vector at all: every call goes straight to
+// the backend (ReadPage/WritePage, or ReadRun/WriteRun for the Run
+// forms), so memory holds only what a BufferPool caches plus Peek's
+// thread-local scratch pages — the textbook external-memory shape
 // (docs/STORAGE.md).
 //
 // Addresses are 1-based (pages 1..M), matching the paper.
@@ -61,7 +66,7 @@ class PageFile {
   // match (DenseFile::Create checks it), and no in-memory image is ever
   // allocated; a fresh backend reads as all-empty pages, an existing one
   // is the reopen path. Without a backend the pages are an in-memory
-  // vector.
+  // vector of empty pages that reserve no record storage until written.
   PageFile(int64_t num_pages, int64_t page_capacity,
            std::unique_ptr<StorageBackend> backend = nullptr);
 

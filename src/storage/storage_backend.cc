@@ -22,8 +22,7 @@ void StorageBackend::ReadRun(Address first, std::span<Page> out,
 
 MemoryBackend::MemoryBackend(int64_t num_pages, int64_t page_capacity)
     : num_pages_(num_pages), page_capacity_(page_capacity) {
-  image_.reserve(static_cast<size_t>(num_pages));
-  for (int64_t i = 0; i < num_pages; ++i) image_.emplace_back(page_capacity);
+  image_.assign(static_cast<size_t>(num_pages), Page(page_capacity));
 }
 
 Status MemoryBackend::WritePage(Address address, const Page& page) {
@@ -32,7 +31,9 @@ Status MemoryBackend::WritePage(Address address, const Page& page) {
                               std::to_string(address) + " outside [1," +
                               std::to_string(num_pages_) + "]");
   }
-  image_[static_cast<size_t>(address - 1)] = page;
+  Page& slot = image_[static_cast<size_t>(address - 1)];
+  slot.Clear();
+  slot.AppendHigh(page.records());
   return Status::OK();
 }
 

@@ -731,6 +731,46 @@ TEST(BufferPoolShardedTest, CacheBytesSplitEvenlyAcrossShards) {
   EXPECT_EQ(*file.ScanAll(), model.ScanAll());
 }
 
+// Frames stay fully reserved whatever pages pass through them, so a
+// miss fill or an in-frame write never reallocates under the pool mutex.
+TEST_F(BufferPoolTest, FramesKeepEverySlotReservedAcrossFillAndEvict) {
+  const size_t slots = static_cast<size_t>(file_.page_capacity());
+  for (Address a = 1; a <= 12; ++a) SeedPage(a, static_cast<Key>(a));
+  auto pool = MakePool(4);
+  for (Address a = 1; a <= 4; ++a) {
+    ASSERT_TRUE(pool->PinRead(a).ok());
+    ASSERT_NE(pool->PeekFrame(a), nullptr);
+    EXPECT_EQ(pool->PeekFrame(a)->records().capacity(), slots)
+        << "page " << a;
+  }
+  // Fill/evict cycle: writes fill whole frames, then evictions write them
+  // back and recycle the frames for pages holding one record.
+  for (Address a = 1; a <= 12; ++a) {
+    StatusOr<PageGuard> g = pool->PinWrite(a);
+    ASSERT_TRUE(g.ok());
+    Page* page = g->mutable_page();
+    page->Clear();
+    for (int64_t i = 0; i < file_.page_capacity(); ++i) {
+      const Key k = static_cast<Key>(100 * a + static_cast<Address>(i));
+      page->AppendHigh({Record{k, k}});
+    }
+  }
+  ASSERT_TRUE(pool->FlushAll().ok());
+  for (Address a = 13; a <= 16; ++a) {
+    SeedPage(a, static_cast<Key>(a));
+    ASSERT_TRUE(pool->PinRead(a).ok());
+  }
+  int64_t resident = 0;
+  for (Address a = 1; a <= 16; ++a) {
+    const Page* frame = pool->PeekFrame(a);
+    if (frame == nullptr) continue;
+    ++resident;
+    EXPECT_EQ(frame->records().capacity(), slots) << "page " << a;
+  }
+  EXPECT_EQ(resident, 4);
+  EXPECT_EQ(file_.Peek(12).size(), file_.page_capacity());
+}
+
 // Pin-leak diagnostics: a PageGuard held past its command shows up in
 // PinLeakReport() with the owner tag its pinner declared, and vanishes
 // once released. (The destructor logs this report in debug builds, so a

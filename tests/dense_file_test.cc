@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/page_file.h"
+#include "util/random.h"
 #include "workload/workload.h"
 
 namespace dsf {
@@ -111,6 +113,29 @@ TEST(DenseFile, BulkLoadAndScan) {
   EXPECT_EQ(out.size(), 10u);
   EXPECT_EQ(f->ScanAll()->size(), 100u);
   EXPECT_TRUE(f->ValidateInvariants().ok());
+}
+
+// In-memory page storage follows occupancy, not M*(D+1) slots. At the
+// dsfbench `uniform` geometry (M=16384, d=16, D=64, loaded to 80% of
+// d*M = 20% of the slots) the pages' reserved record storage stays
+// within twice the loaded records.
+TEST(DenseFile, LoadedPagesReserveStorageForTheirRecords) {
+  DenseFile::Options options;
+  options.num_pages = 16384;
+  options.d = 16;
+  options.D = 64;
+  std::unique_ptr<DenseFile> f = Make(options);
+  const int64_t n = options.d * options.num_pages * 8 / 10;
+  Rng rng(1);
+  ASSERT_TRUE(
+      f->BulkLoad(MakeUniformRecords(n, static_cast<Key>(2 * n), rng)).ok());
+  const PageFile& file = f->control().file();
+  int64_t reserved = 0;
+  for (Address a = 1; a <= file.num_pages(); ++a) {
+    reserved += static_cast<int64_t>(file.Peek(a).records().capacity());
+  }
+  EXPECT_EQ(file.TotalRecords(), n);
+  EXPECT_LE(reserved, 2 * n);
 }
 
 TEST(DenseFile, Control1PolicyFullLifecycle) {

@@ -27,6 +27,18 @@ TEST(PageFile, ConstructsEmptyPages) {
   EXPECT_EQ(f.TotalRecords(), 0);
 }
 
+// The in-memory device allocates page storage only as records arrive.
+TEST(PageFile, EmptyPagesReserveNoRecordStorage) {
+  PageFile f(4, 65);
+  for (Address a = 1; a <= 4; ++a) {
+    EXPECT_EQ(f.Peek(a).records().capacity(), 0u);
+  }
+  const std::vector<Record> records{{1, 1}, {2, 2}, {3, 3}};
+  ASSERT_TRUE(f.RawWrite(2, records).ok());
+  EXPECT_EQ(f.Peek(2).records().capacity(), records.size());
+  EXPECT_EQ(f.Peek(3).records().capacity(), 0u);
+}
+
 TEST(PageFile, ReadAndWriteAreAccounted) {
   PageFile f(4, 8);
   Read(f, 1);

@@ -117,6 +117,88 @@ TEST(Page, AppendHighAndPrependLowPreserveOrder) {
   EXPECT_TRUE(p.WellFormed());
 }
 
+// Capacity is a limit, not a reservation: storage follows the records.
+TEST(Page, ConstructedPageReservesNoRecordStorage) {
+  const Page p(65);
+  EXPECT_EQ(p.capacity(), 65);
+  EXPECT_EQ(p.records().capacity(), 0u);
+}
+
+TEST(Page, AppendIntoEmptyPageAllocatesItsRecordsExactly) {
+  Page p(65);
+  std::vector<Record> loaded;
+  for (Key k = 1; k <= 13; ++k) loaded.push_back(R(k));
+  p.AppendHigh(loaded);
+  EXPECT_EQ(p.records().capacity(), 13u);
+}
+
+TEST(Page, GrowthNeverReservesPastCapacity) {
+  // Every growing call, from every starting size, up to a full page.
+  Page inserted(65);
+  for (Key k = 65; k >= 1; --k) {  // descending: each insert lands first
+    ASSERT_TRUE(inserted.Insert(R(k)).ok());
+    ASSERT_LE(inserted.records().capacity(), 65u) << "after key " << k;
+    ASSERT_GE(inserted.records().capacity(),
+              static_cast<size_t>(inserted.size()));
+  }
+  EXPECT_EQ(inserted.size(), inserted.capacity());
+  EXPECT_TRUE(inserted.Insert(R(100)).IsCapacityExceeded());
+  EXPECT_LE(inserted.records().capacity(), 65u);
+
+  Page appended(65);
+  for (Key k = 1; k <= 65; ++k) {
+    appended.AppendHigh({R(k)});
+    ASSERT_LE(appended.records().capacity(), 65u) << "after key " << k;
+  }
+  EXPECT_EQ(appended.size(), appended.capacity());
+
+  Page prepended(65);
+  for (Key k = 65; k >= 1; --k) {
+    prepended.PrependLow({R(k)});
+    ASSERT_LE(prepended.records().capacity(), 65u) << "after key " << k;
+  }
+  EXPECT_EQ(prepended.size(), prepended.capacity());
+  EXPECT_TRUE(prepended.WellFormed());
+}
+
+TEST(Page, GrowthAtLeastDoublesStorage) {
+  // Repeated one-record growth reallocates O(log capacity) times, not
+  // once per record.
+  Page p(1024);
+  int reallocations = 0;
+  const Record* storage = nullptr;
+  for (Key k = 1; k <= 1024; ++k) {
+    p.AppendHigh({R(k)});
+    if (p.records().data() != storage) {
+      ++reallocations;
+      storage = p.records().data();
+    }
+  }
+  EXPECT_LE(reallocations, 11);
+}
+
+TEST(Page, ClearKeepsItsStorage) {
+  Page p(16);
+  for (Key k = 1; k <= 10; ++k) ASSERT_TRUE(p.Insert(R(k)).ok());
+  const size_t reserved = p.records().capacity();
+  const Record* storage = p.records().data();
+  p.Clear();
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(p.records().capacity(), reserved);
+  // Refilling up to the kept storage does not reallocate.
+  for (Key k = 1; k <= static_cast<Key>(reserved); ++k) {
+    p.AppendHigh({R(k)});
+  }
+  EXPECT_EQ(p.records().data(), storage);
+}
+
+TEST(Page, ReserveFullReservesEverySlot) {
+  Page p(65);
+  p.ReserveFull();
+  EXPECT_EQ(p.records().capacity(), 65u);
+  EXPECT_TRUE(p.empty());
+}
+
 TEST(Page, DebugStringListsKeys) {
   Page p(4);
   ASSERT_TRUE(p.Insert(R(3)).ok());
