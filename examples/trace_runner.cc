@@ -15,7 +15,6 @@
 #include <string>
 
 #include "core/dense_file.h"
-#include "core/snapshot.h"
 #include "util/random.h"
 #include "workload/trace.h"
 #include "workload/workload.h"

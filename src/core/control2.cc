@@ -69,11 +69,6 @@ void Control2::SetObservability(MetricsRegistry* metrics,
   }
 }
 
-void Control2::SetMaintenanceJ(int64_t j) {
-  DSF_CHECK(j >= 1) << "CONTROL 2 needs at least one SHIFT cycle, got " << j;
-  j_ = j;
-}
-
 int64_t Control2::ViolationBudget(int64_t pages) const {
   return j_ * (pages * (logical_spec_.D() - logical_spec_.d()) /
                (3 * logical_spec_.L()));

@@ -240,35 +240,10 @@ class DenseFile {
     return live_cursors_.load(std::memory_order_acquire);
   }
 
-  // --- Tuning actuators (tune/controller.h; see docs/TUNING.md) ---
-  // All take effect on the next command and must be called between
-  // commands (the controller holds the shard writer lock). Each keeps
-  // the certifier envelope and the drain budgets consistent with the
-  // installed value — the safety invariant is that the budget being
-  // enforced always matches the live (K, J).
-  //
-  // Retargets CONTROL 2's SHIFT cycles per command. Theorem 5.5 needs
-  // J >= the resolved default, so j below the file's open-time J (or
-  // j < 1, or a non-CONTROL-2 policy) is InvalidArgument. Recomputes
-  // the certifier budget K*(4j+2) and the auto drain budgets.
-  Status SetMaintenanceJ(int64_t j);
-  // The J the certifier envelope is currently evaluated at (the file's
-  // resolved J for CONTROL 2, the recommended J otherwise).
-  int64_t maintenance_j() const { return certified_j_; }
-  // The open-time resolved J — the floor below which SetMaintenanceJ
-  // refuses to tune (Theorem 5.5's guarantee).
-  int64_t maintenance_j_floor() const { return default_j_; }
-  // Retargets the per-drain-step entry cap; 0 restores the auto default
-  // max(4, budget/(4K)). No-op when staging is off. The trigger fill
-  // follows (max(batch, capacity/2)).
-  void SetDrainBatch(int64_t batch);
-  // Retargets the staging buffer's entry capacity (Memtable::SetCapacity
-  // clamping applies); returns the capacity installed, 0 when staging is
-  // off. The trigger fill follows.
-  int64_t SetStagingCapacity(int64_t entries);
-  // Grows or shrinks the buffer pool (BufferPool::Resize contract);
-  // FailedPrecondition when caching is off.
-  Status ResizeCache(int64_t new_frames);
+  // The J the certifier envelope K*(4J+2) is evaluated at, fixed at
+  // open: the file's resolved J for CONTROL 2, the recommended J at the
+  // same geometry otherwise.
+  int64_t maintenance_j() const { return maintenance_j_; }
   // Lock-free staging occupancy gauge for the epoch read path: the
   // occupancy as of the last completed staging mutation. May lag the
   // true size mid-command, but only in ways an epoch read may ignore:
@@ -310,17 +285,6 @@ class DenseFile {
   void ResetIoStats() { control_->file().ResetStats(); }
   // Whether a buffer pool is interposed (cache_frames > 0).
   bool cache_enabled() const { return control_->pool() != nullptr; }
-  // Current pool frame count (the ResizeCache actuator's gauge); 0 when
-  // caching is disabled.
-  int64_t cache_frames() const {
-    return cache_enabled() ? control_->pool()->num_frames() : 0;
-  }
-  // Currently dirty pool frames (0 when no pool) — the tuning
-  // controller's donor-selection signal: shrinking a dirty pool forces
-  // a safe-order flush, shrinking a clean one is free.
-  int64_t cache_dirty_frames() const {
-    return cache_enabled() ? control_->pool()->dirty_pages() : 0;
-  }
   // Pool counters (hits, misses, write combines, flush runs); zeroes
   // when caching is disabled.
   BufferPool::Stats cache_stats() const {
@@ -433,11 +397,6 @@ class DenseFile {
   Status ApplyFirstTombstone();
   // Makes room for one more staged entry, force-draining when full.
   Status EnsureStagingRoom();
-  // Re-derives drain_batch_/drain_trigger_/drain_access_budget_ from the
-  // current (K, J) and staging capacity, honoring an explicit batch
-  // override; syncs the certifier envelope (BoundCertifier::Recalibrate)
-  // when `recalibrate` and one is attached.
-  void SyncTuningDerivedState(bool recalibrate);
   // Post-repair reconciliation: a drain step that died mid-apply may
   // have committed some entries (or the delete half of an update);
   // re-classify every staged entry against the repaired file so the
@@ -464,15 +423,9 @@ class DenseFile {
   int64_t drain_batch_ = 0;
   int64_t drain_trigger_ = 0;
   int64_t drain_access_budget_ = 0;
-  // The J the Theorem-5.7 envelope is evaluated at (see Create and
-  // SetMaintenanceJ); drives the certifier budget and drain budgets.
-  int64_t certified_j_ = 0;
-  // Open-time resolved J — the floor SetMaintenanceJ may never tune
-  // below (Theorem 5.5's guarantee needs at least the recommended J).
-  int64_t default_j_ = 0;
-  // Nonzero = an explicit drain-batch override (Options::drain_batch or
-  // SetDrainBatch); 0 = auto-derive from the access budget.
-  int64_t drain_batch_override_ = 0;
+  // The J the Theorem-5.7 envelope is evaluated at (see Create); drives
+  // the certifier budget and drain budgets.
+  int64_t maintenance_j_ = 0;
   mutable StagingStats staging_stats_;
   // Staging read hits, split out of staging_stats_ because shared-lock
   // readers increment it concurrently (staging_stats() merges it back).

@@ -95,15 +95,6 @@ class Memtable {
   int64_t capacity() const { return capacity_; }
   bool full() const { return size() >= capacity_; }
 
-  // Retargets the entry budget — the staging-capacity actuator behind
-  // the self-tuning controller's cross-shard donation (tune/). Clamped
-  // to >= 1 and never below the current size: staged entries are never
-  // dropped, and the auditor's size <= capacity invariant must hold at
-  // every instant, so a shrink lands only as low as the entries already
-  // present (the buffer reads full and drains bring the size down).
-  // Returns the capacity actually installed.
-  int64_t SetCapacity(int64_t new_capacity);
-
   // The entry for `key`, or nullptr. O(log n).
   const StagedEntry* Find(Key key) const;
 

@@ -43,8 +43,7 @@ std::string BoundReport::ToString() const {
   os << "BoundReport(M=" << num_pages << " K=" << block_size << " d=" << d
      << " D=" << D << " J=" << J << " budget=" << budget
      << " checked=" << commands_checked << " exempt=" << commands_exempt
-     << " max=" << max_accesses << " recalibrations=" << recalibrations
-     << " violations=" << violations.size() << ")";
+     << " max=" << max_accesses << " violations=" << violations.size() << ")";
   for (const BoundViolation& v : violations) {
     os << "\n  " << v.ToString();
   }
@@ -61,15 +60,6 @@ BoundCertifier::BoundCertifier(int64_t num_pages, int64_t d, int64_t D,
   report_.D = D;
   report_.J = j;
   report_.budget = BudgetFor(block_size, j);
-}
-
-void BoundCertifier::Recalibrate(int64_t block_size, int64_t j) {
-  DSF_CHECK(block_size >= 1 && j >= 0)
-      << "certifier recalibration invalid: K=" << block_size << " J=" << j;
-  report_.block_size = block_size;
-  report_.J = j;
-  report_.budget = BudgetFor(block_size, j);
-  ++report_.recalibrations;
 }
 
 void BoundCertifier::Observe(CommandKind kind, int64_t logical_accesses) {

@@ -89,7 +89,6 @@ struct BoundReport {
   int64_t commands_checked = 0;  // point commands measured
   int64_t commands_exempt = 0;   // range/compact commands seen
   int64_t max_accesses = 0;      // worst checked command
-  int64_t recalibrations = 0;    // times the envelope was recomputed
   std::vector<BoundViolation> violations;
 
   bool ok() const { return violations.empty(); }
@@ -116,15 +115,6 @@ class BoundCertifier {
   // tallied but never flagged. `violations_counter` (when instrumented)
   // is bumped on each flagged command.
   void Observe(CommandKind kind, int64_t logical_accesses);
-
-  // Recomputes the envelope after an operation that changed K or J
-  // (maintenance-J retuning, Compact's whole-file redistribution, a
-  // re-learned calibrator). Coverage counters, the observed max and any
-  // recorded violations are preserved — the certificate stays one
-  // unbroken watch over the file's life; only *subsequent* commands are
-  // checked against the new budget. Recorded in report().recalibrations
-  // so a clean report proves which envelope each era ran under.
-  void Recalibrate(int64_t block_size, int64_t j);
 
   // Optional metrics hook: bumped once per flagged command.
   void set_violations_counter(Counter* counter) {

@@ -70,34 +70,6 @@ inline constexpr char kMetricShardRecords[] = "dsf_shard_records";
 // Gauge: 1000 * (most loaded shard / mean shard load); 1000 = balanced.
 inline constexpr char kMetricShardImbalance[] = "dsf_shard_imbalance_x1000";
 
-// --- Self-tuning controller (tune/controller.cc; see docs/TUNING.md) ---
-// Controller ticks that ran (signal collection + decision, even no-ops).
-inline constexpr char kMetricTuneTicks[] = "dsf_tune_ticks_total";
-// Actuations actually applied (any actuator; no-op ticks don't count).
-inline constexpr char kMetricTuneActuations[] = "dsf_tune_actuations_total";
-// Buffer-pool frames moved between shards by the frame-balance actuator.
-inline constexpr char kMetricTuneFramesMoved[] =
-    "dsf_tune_frames_moved_total";
-// Bounded re-calibrations (per-shard Compact + envelope recompute)
-// triggered by the J-headroom advisory.
-inline constexpr char kMetricTuneRecalibrations[] =
-    "dsf_tune_recalibrations_total";
-// Gauge, per-shard label: buffer-pool frames currently allocated.
-inline constexpr char kMetricTunePoolFrames[] = "dsf_tune_pool_frames";
-// Gauge, per-shard label: current drain batch (entries per drain step).
-inline constexpr char kMetricTuneDrainBatch[] = "dsf_tune_drain_batch";
-// Gauge, per-shard label: current staging-memtable capacity (entries).
-inline constexpr char kMetricTuneStagingCapacity[] =
-    "dsf_tune_staging_capacity";
-// Gauge, per-shard label: current maintenance J (CONTROL 2 SHIFT cycles
-// per command).
-inline constexpr char kMetricTuneJ[] = "dsf_tune_j";
-// Gauge: worst (minimum) per-shard access headroom over the last tick
-// window, as 1000 * (budget - windowed p99) / budget; 1000 = idle,
-// <= 0 = the p99 touched the certifier budget.
-inline constexpr char kMetricTuneHeadroomX1000[] =
-    "dsf_tune_headroom_x1000";
-
 // --- Workload replay (workload/parallel_replayer.cc) ---
 // Histogram, per-thread label: wall-clock latency per operation, ns.
 inline constexpr char kMetricReplayOpNs[] = "dsf_replay_op_ns";

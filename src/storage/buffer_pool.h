@@ -289,21 +289,6 @@ class BufferPool {
   // order); already-flushed frames are clean. Safe to retry.
   Status FlushAll() DSF_EXCLUDES(mu_);
 
-  // Grows or shrinks the frame count to `new_frames` (>= 1) — the
-  // frame-donation primitive behind the self-tuning controller's
-  // per-shard rebalancing (tune/controller.h). Growth appends empty
-  // frames. Shrink first lands every dirty frame through the safe-order
-  // flush (so no crash-safety ordering is bent around the removal) and
-  // then drops the tail frames, evicting their clean contents.
-  // Preconditions: no live PageGuards (frame contents are accessed
-  // without mu_ through guards, and growth may relocate the frame
-  // vector) — callers hold the shard writer lock between commands, under
-  // which no guard can be live; returns FailedPrecondition otherwise.
-  // kIoError from the shrink flush leaves the pool intact at its old
-  // size. Epoch readers (TryEpochGet) are safe throughout: they only
-  // touch frames under mu_.
-  Status Resize(int64_t new_frames) DSF_EXCLUDES(mu_);
-
   // Drops every frame without writing anything back — the cache-loss
   // half of a crash. Dirty data is lost by design; the caller re-syncs
   // from the device (CheckAndRepair). Requires no outstanding pins.
@@ -335,10 +320,6 @@ class BufferPool {
   // the dirty-order list, simulating a write-back reordering bug.
   void ReorderDirtyListForTesting() DSF_EXCLUDES(mu_);
 
-  int64_t num_frames() const DSF_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return static_cast<int64_t>(frames_.size());
-  }
   int64_t resident_pages() const DSF_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return static_cast<int64_t>(resident_.size());
@@ -438,8 +419,6 @@ class BufferPool {
   // then removal frames in L order — crash-safe (see the .cc comment).
   Status FlushFramesInSafeOrder(std::vector<int64_t> to_flush)
       DSF_REQUIRES(mu_);
-  // FlushAll's body, for callers already holding mu_ (Resize).
-  Status FlushAllLocked() DSF_REQUIRES(mu_);
   void Unpin(int64_t frame, bool write) DSF_EXCLUDES(mu_);
   void Touch(Frame& f) DSF_REQUIRES(mu_);
   // Records a pin; a `write` pin additionally destabilizes the frame's
@@ -452,8 +431,8 @@ class BufferPool {
   // Frame *contents* are protected by pinning, not mu_ (a PageGuard
   // holder reads its page without any lock, so frames_ cannot carry a
   // GUARDED_BY annotation). Frame *metadata* is mutated only under mu_,
-  // and the vector itself changes only in Resize — which requires zero
-  // live guards, so no unlocked content access can race the relocation.
+  // and the vector itself is fixed at construction, so frames never
+  // relocate under a guard.
   std::vector<Frame> frames_;
 
   mutable Mutex mu_;

@@ -236,7 +236,9 @@ TEST(IngestStaging, TombstoneCreditAdmitsInsertAtCapacity) {
   std::unique_ptr<DenseFile> f = Make(StagedOptions(/*staging_entries=*/8));
   const int64_t capacity = f->capacity();
   std::vector<Record> full;
-  for (Key k = 1; k <= capacity; ++k) full.push_back(Record{2 * k, k});
+  for (Key k = 1; k <= static_cast<Key>(capacity); ++k) {
+    full.push_back(Record{2 * k, k});
+  }
   ASSERT_TRUE(f->BulkLoad(full).ok());
   // Merged-capacity accounting: a staged tombstone frees the slot the
   // staged insert needs, even though the durable file is still full when

@@ -1,10 +1,11 @@
 // Tests for the observability subsystem (src/obs/): histogram bucket
-// geometry, striped-counter exactness under a thread storm (run under
+// geometry and quantiles, striped-counter exactness under a thread storm (run under
 // -DDSF_SANITIZE=thread for the race check), registry handle identity,
 // exporters, tracer ring semantics, the BoundCertifier report, the
 // null-registry zero-overhead guarantee, and the single-source
 // simulated-time accounting shared by IoStats and the latency sleep.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -85,6 +86,76 @@ TEST(HistogramTest, ObserveMergesStripes) {
   EXPECT_EQ(buckets[0], 2);   // 0, 1
   EXPECT_EQ(buckets[1], 2);   // 2, 3
   EXPECT_EQ(buckets[10], 1);  // 1024
+}
+
+// ---------------------------------------------------------------------
+// Histogram quantiles (the exporters' p50/p99)
+
+TEST(QuantileTest, EmptyAndClamping) {
+  std::array<int64_t, kHistogramBuckets> buckets{};
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.99), 0);
+
+  buckets[3] = 10;  // values in [8, 16), upper edge 15
+  // q is clamped into [0, 1]; any quantile of a single-bucket
+  // distribution is that bucket's upper edge.
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, -0.5), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.0), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.5), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 1.0), 15);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 7.0), 15);
+}
+
+TEST(QuantileTest, RankWalksBucketBoundaries) {
+  std::array<int64_t, kHistogramBuckets> buckets{};
+  buckets[0] = 98;  // [0, 2)
+  buckets[5] = 1;   // [32, 64)
+  buckets[9] = 1;   // [512, 1024)
+  // 100 observations: ranks 1..98 in bucket 0, 99 in bucket 5, 100 in
+  // bucket 9.
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.50), 1);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.98), 1);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.99), 63);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 1.0), 1023);
+}
+
+TEST(QuantileTest, UpperEdgeNeverUnderstates) {
+  Histogram h;
+  h.Observe(100);  // bucket 6: [64, 128), upper edge 127
+  h.Observe(100);
+  h.Observe(1000);  // bucket 9: [512, 1024), upper edge 1023
+  // Estimates sit at or above the true quantile, within 2x.
+  EXPECT_EQ(h.ApproxQuantile(0.5), 127);
+  EXPECT_EQ(h.ApproxQuantile(0.99), 1023);
+  EXPECT_GE(h.ApproxQuantile(0.99), 1000);
+  EXPECT_LE(h.ApproxQuantile(0.99), 2 * 1000);
+}
+
+TEST(QuantileTest, TopBucketSaturates) {
+  std::array<int64_t, kHistogramBuckets> buckets{};
+  buckets[kHistogramBuckets - 1] = 1;
+  EXPECT_EQ(Histogram::QuantileFromBuckets(buckets, 0.99),
+            std::numeric_limits<int64_t>::max());
+}
+
+TEST(QuantileTest, WindowDiffIsExact) {
+  // Diffing two cumulative snapshots is exact (bucket counts merge and
+  // diff exactly), so the window quantile sees only the new
+  // observations.
+  Histogram h;
+  for (int i = 0; i < 100; ++i) h.Observe(1);  // old regime: tiny
+  const std::array<int64_t, kHistogramBuckets> before = h.BucketCounts();
+  for (int i = 0; i < 50; ++i) h.Observe(500);  // new regime: bucket 8
+  const std::array<int64_t, kHistogramBuckets> after = h.BucketCounts();
+
+  std::array<int64_t, kHistogramBuckets> window{};
+  for (int b = 0; b < kHistogramBuckets; ++b) {
+    window[static_cast<size_t>(b)] = after[static_cast<size_t>(b)] -
+                                     before[static_cast<size_t>(b)];
+  }
+  // Cumulative p99 is polluted by the old observations' mass; the
+  // window p99 is purely the new regime.
+  EXPECT_EQ(Histogram::QuantileFromBuckets(window, 0.5), 511);
+  EXPECT_EQ(Histogram::QuantileFromBuckets(window, 0.99), 511);
 }
 
 // ---------------------------------------------------------------------

@@ -265,7 +265,9 @@ TEST(ShardedDenseFileTest, DeleteRangeWithStagingMatchesModel) {
     const Record r{k, k + 1};
     const Status s = file->Insert(r);
     ASSERT_TRUE(s.ok() || s.IsAlreadyExists());
-    if (s.ok()) ASSERT_TRUE(model.Insert(r).ok());
+    if (s.ok()) {
+      ASSERT_TRUE(model.Insert(r).ok());
+    }
   }
 
   const int64_t expected =
