@@ -13,7 +13,9 @@
 // printed so a regression is visible in the artifact. Each file row also
 // times the two whole-file passes outside the replay: load_s (Create +
 // BulkLoad, the layout written in runs of slots) and open_s (closing the
-// file and timing DenseFile::Open, whose check pass reads in runs). Each
+// file and timing DenseFile::Open, whose check pass reads in runs), and
+// reports the slot size and the data file's bytes (slots are sized to the
+// data file's O_DIRECT alignment, so they depend on the filesystem). Each
 // row is the median of kReps runs (wall time, load_s and open_s each);
 // the artifact records the host, the build type and the repetition
 // count. Tracked in BENCH_durable.json.
@@ -69,6 +71,8 @@ struct Row {
   double slowdown_vs_simulated = 1.0;
   IoStats io;
   FileBackend::Stats file_stats;  // zero for non-file rows
+  int64_t slot_bytes = 0;         // file rows only
+  int64_t data_file_bytes = 0;
   bool has_file_stats = false;
 };
 
@@ -148,8 +152,10 @@ Row RunConfig(const Config& config, const Trace& trace, int64_t num_pages,
   row.ops_per_second = static_cast<double>(trace.size()) / row.wall_seconds;
   row.io = file.io_stats();
   if (config.use_file) {
-    row.file_stats =
-        static_cast<FileBackend*>(file.storage_backend())->stats();
+    const auto* backend = static_cast<FileBackend*>(file.storage_backend());
+    row.file_stats = backend->stats();
+    row.slot_bytes = backend->slot_bytes();
+    row.data_file_bytes = backend->num_pages() * backend->slot_bytes();
     row.has_file_stats = true;
   }
   // After the counters: validation reads every page (M more preads).
@@ -211,9 +217,12 @@ void WriteJson(std::ostream& os, const std::vector<Row>& rows,
        << ", \"wall_seconds\": " << r.wall_seconds
        << ", \"load_s\": " << r.load_seconds;
     if (r.has_file_stats) {
-      os << ", \"open_s\": " << r.open_seconds;
+      os << ", \"open_s\": " << r.open_seconds
+         << ", \"slot_bytes\": " << r.slot_bytes
+         << ", \"data_file_bytes\": " << r.data_file_bytes;
     } else {
-      os << ", \"open_s\": null";
+      os << ", \"open_s\": null, \"slot_bytes\": null"
+         << ", \"data_file_bytes\": null";
     }
     os
        << ", \"ops_per_second\": " << r.ops_per_second
@@ -282,7 +291,8 @@ int Main(int argc, char** argv) {
 
   bench::Section("E21: storage backend cost (simulated vs durable file)");
   bench::Table table({"config", "backend", "wall s", "Kops/s", "slowdown",
-                      "load ms", "open ms", "preads", "pwrites", "syncs"});
+                      "load ms", "open ms", "slot B", "data KiB", "preads",
+                      "pwrites", "syncs"});
   std::vector<Row> rows;
   double simulated_ops_per_second = 0;
   for (const Config& config : configs) {
@@ -295,6 +305,7 @@ int Main(int argc, char** argv) {
     table.Row(row.label, row.backend_name, row.wall_seconds,
               row.ops_per_second * 1e-3, row.slowdown_vs_simulated,
               row.load_seconds * 1e3, row.open_seconds * 1e3,
+              row.slot_bytes, row.data_file_bytes / 1024,
               row.has_file_stats ? row.file_stats.preads : 0,
               row.has_file_stats ? row.file_stats.pwrites : 0,
               row.has_file_stats ? row.file_stats.syncs : 0);

@@ -7,6 +7,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,18 +16,28 @@
 #include <cstring>
 #include <utility>
 
+// glibc 2.36's struct statx predates the stx_dio_* fields; with the
+// kernel's header included it uses the kernel's definition instead.
+#if __has_include(<linux/stat.h>)
+#include <linux/stat.h>
+#endif
+
 #include "util/crc32c.h"
 #include "util/check.h"
 
 namespace dsf {
 namespace {
 
+// Buffer alignment, and the slot alignment when the data file's O_DIRECT
+// alignment cannot be learned.
 constexpr int64_t kAlign = 4096;
+// The finest slot alignment: one logical sector.
+constexpr int64_t kSectorBytes = 512;
 constexpr int64_t kSlotHeaderBytes = 16;   // {count u64, crc u32, reserved u32}
 constexpr int64_t kRecordBytes = 16;       // {key u64, value u64}
 constexpr int64_t kSuperblockBytes = 4096;
 // The run buffer's cap: one WriteRun/ReadRun transfer moves at most this
-// many bytes of consecutive slots (64 slots of 4096 bytes).
+// many bytes of consecutive slots (256 slots of 1 KiB, 64 of 4 KiB).
 constexpr int64_t kRunBytes = 256 * 1024;
 constexpr char kMagic[8] = {'D', 'S', 'F', 'S', 'U', 'P', 'E', 'R'};
 
@@ -145,6 +156,60 @@ Status SyncDirectory(const std::string& dir) {
   return s;
 }
 
+// The file-offset alignment the kernel reports for O_DIRECT on `path`
+// (statx STATX_DIOALIGN), or 0 where it reports none: an older kernel, a
+// filesystem that does not say (tmpfs), or a file without direct I/O.
+int64_t ReportedDirectIoAlignment(const std::string& path) {
+#ifdef STATX_DIOALIGN
+  struct statx sx {};
+  if (::statx(AT_FDCWD, path.c_str(), 0, STATX_DIOALIGN, &sx) == 0 &&
+      (sx.stx_mask & STATX_DIOALIGN) != 0) {
+    return sx.stx_dio_offset_align;
+  }
+#else
+  (void)path;
+#endif
+  return 0;
+}
+
+// Whether a 512-byte O_DIRECT read succeeds on the fresh data file at
+// `path`. A hole reads back at any alignment, so the probe first writes
+// one aligned block of zeros, which the slot format reads as empty pages.
+bool DirectIoTakesSectors(const std::string& path) {
+#ifdef O_DIRECT
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC | O_DIRECT);
+  if (fd < 0) return false;
+  unsigned char* block = AllocAligned(kAlign);
+  bool ok = false;
+  if (block != nullptr) {
+    std::memset(block, 0, static_cast<size_t>(kAlign));
+    ok = ::pwrite(fd, block, kAlign, 0) == kAlign &&
+         ::pread(fd, block, kSectorBytes, kSectorBytes) == kSectorBytes;
+  }
+  std::free(block);
+  ::close(fd);
+  return ok;
+#else
+  (void)path;
+  return false;
+#endif
+}
+
+// The file-offset alignment O_DIRECT needs on the fresh data file at
+// `path`, never below one sector: what the kernel reports, else one
+// sector if a probe read at that alignment succeeds, else kAlign.
+int64_t SlotAlignment(const std::string& path) {
+  const int64_t reported = ReportedDirectIoAlignment(path);
+  if (reported > 0) return std::max(kSectorBytes, reported);
+  return DirectIoTakesSectors(path) ? kSectorBytes : kAlign;
+}
+
+// Whether slots of `slot_bytes` meet an O_DIRECT `alignment` (0: unknown,
+// and then O_DIRECT is attempted).
+bool SlotsFitDirectIo(int64_t slot_bytes, int64_t alignment) {
+  return alignment == 0 || slot_bytes % alignment == 0;
+}
+
 // Opens the data file, attempting O_DIRECT when asked and falling back
 // to buffered I/O where the filesystem refuses it (tmpfs: EINVAL).
 StatusOr<std::pair<int, bool>> OpenDataFd(const std::string& path,
@@ -187,11 +252,13 @@ unsigned char* FileBackend::ThreadReadBuf(int64_t n) {
 
 FileBackend::FileBackend(Options options, int64_t num_pages,
                          int64_t page_capacity, int64_t slot_bytes,
-                         int data_fd, bool direct_active)
+                         int64_t direct_io_alignment, int data_fd,
+                         bool direct_active)
     : options_(std::move(options)),
       num_pages_(num_pages),
       page_capacity_(page_capacity),
       slot_bytes_(slot_bytes),
+      direct_io_alignment_(direct_io_alignment),
       data_fd_(data_fd),
       direct_active_(direct_active),
       run_slots_(std::max<int64_t>(1, kRunBytes / slot_bytes)),
@@ -208,8 +275,9 @@ FileBackend::FileBackend(Options options, int64_t num_pages,
   // page cache, with the same write-back amplification (measured: the
   // whole 256 KiB run per later command), so runs bypass the cache on a
   // second, O_DIRECT descriptor. Where O_DIRECT is refused (tmpfs, which
-  // has no write-back) runs stay buffered.
-  if (!direct_active_) {
+  // has no write-back) runs stay buffered, as they do when the slots do
+  // not meet the filesystem's O_DIRECT alignment.
+  if (!direct_active_ && SlotsFitDirectIo(slot_bytes_, direct_io_alignment_)) {
     direct_run_fd_ = ::open(DatPath(options_.directory).c_str(),
                             O_RDWR | O_CLOEXEC | O_DIRECT);
   }
@@ -223,36 +291,56 @@ FileBackend::~FileBackend() {
 
 StatusOr<std::unique_ptr<FileBackend>> FileBackend::Create(
     const Options& options, int64_t num_pages, int64_t page_capacity) {
+  return CreatePair(options, num_pages, page_capacity, /*slot_bytes=*/0);
+}
+
+StatusOr<std::unique_ptr<FileBackend>>
+FileBackend::CreateWithSlotBytesForTesting(const Options& options,
+                                           int64_t num_pages,
+                                           int64_t page_capacity,
+                                           int64_t slot_bytes) {
+  return CreatePair(options, num_pages, page_capacity, slot_bytes);
+}
+
+StatusOr<std::unique_ptr<FileBackend>> FileBackend::CreatePair(
+    const Options& options, int64_t num_pages, int64_t page_capacity,
+    int64_t slot_bytes) {
   if (num_pages < 1 || page_capacity < 1) {
     return Status::InvalidArgument("FileBackend geometry must be positive");
   }
-  const int64_t slot_bytes =
-      AlignUp(kSlotHeaderBytes + page_capacity * kRecordBytes, kAlign);
-
-  // Index file: superblock, written and fsynced before any data page so
-  // a crash between the two leaves an openable (empty) pair.
-  const std::string idx = IdxPath(options.directory);
-  int idx_fd = ::open(idx.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
-                      0644);
-  if (idx_fd < 0) return ErrnoError("open", idx);
-  {
-    unsigned char block[kSuperblockBytes];
-    FillSuperblock(block, kFormatVersion, num_pages, page_capacity,
-                   slot_bytes);
-    Status s = PwriteFully(idx_fd, block, kSuperblockBytes, 0, idx);
-    if (s.ok() && ::fdatasync(idx_fd) != 0) s = ErrnoError("fdatasync", idx);
-    ::close(idx_fd);
-    DSF_RETURN_IF_ERROR(s);
-  }
-
+  // The data file is truncated first: its O_DIRECT alignment sizes the
+  // slots the superblock records. A crash before the superblock below is
+  // synced leaves the old superblock over an empty data file, which Open
+  // re-extends to an empty pair.
   const std::string dat = DatPath(options.directory);
   auto fd_or = OpenDataFd(dat, options.direct_io, /*create=*/true);
   DSF_RETURN_IF_ERROR(fd_or.status());
   auto [fd, direct] = fd_or.value();
+  const int64_t alignment = SlotAlignment(dat);
+  if (slot_bytes == 0) {
+    slot_bytes =
+        AlignUp(kSlotHeaderBytes + page_capacity * kRecordBytes, alignment);
+  }
+
+  // Index file: superblock, written and fsynced before any data page.
+  const std::string idx = IdxPath(options.directory);
+  Status s;
+  int idx_fd = ::open(idx.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
+                      0644);
+  if (idx_fd < 0) {
+    s = ErrnoError("open", idx);
+  } else {
+    unsigned char block[kSuperblockBytes];
+    FillSuperblock(block, kFormatVersion, num_pages, page_capacity,
+                   slot_bytes);
+    s = PwriteFully(idx_fd, block, kSuperblockBytes, 0, idx);
+    if (s.ok() && ::fdatasync(idx_fd) != 0) s = ErrnoError("fdatasync", idx);
+    ::close(idx_fd);
+  }
   // Size the file up front; the hole reads back as zeros, which the
   // slot format defines as the valid empty page.
-  Status s;
-  if (::ftruncate(fd, static_cast<off_t>(num_pages * slot_bytes)) != 0) {
+  if (s.ok() &&
+      ::ftruncate(fd, static_cast<off_t>(num_pages * slot_bytes)) != 0) {
     s = ErrnoError("ftruncate", dat);
   }
   // The files' data is synced (the superblock above, the data file at
@@ -264,7 +352,7 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::Create(
     return s;
   }
   return std::unique_ptr<FileBackend>(new FileBackend(
-      options, num_pages, page_capacity, slot_bytes, fd, direct));
+      options, num_pages, page_capacity, slot_bytes, alignment, fd, direct));
 }
 
 StatusOr<std::unique_ptr<FileBackend>> FileBackend::Open(
@@ -297,14 +385,21 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::Open(
   const int64_t slot_bytes = static_cast<int64_t>(GetU64(block, kOffSlotBytes));
   const int64_t record_bytes =
       static_cast<int64_t>(GetU32(block, kOffRecordBytes));
+  // Any whole number of sectors that holds a full page is a valid slot:
+  // pairs created at 4096-byte slots open unchanged.
   if (num_pages < 1 || page_capacity < 1 || record_bytes != kRecordBytes ||
-      slot_bytes !=
-          AlignUp(kSlotHeaderBytes + page_capacity * kRecordBytes, kAlign)) {
+      slot_bytes < kSlotHeaderBytes + page_capacity * kRecordBytes ||
+      slot_bytes % kSectorBytes != 0) {
     return Status::IoError(idx + ": superblock geometry is inconsistent");
   }
 
+  // A pair created on a filesystem with a finer O_DIRECT alignment runs
+  // buffered here; where the kernel does not say, O_DIRECT is attempted.
   const std::string dat = DatPath(options.directory);
-  auto fd_or = OpenDataFd(dat, options.direct_io, /*create=*/false);
+  const int64_t alignment = ReportedDirectIoAlignment(dat);
+  auto fd_or = OpenDataFd(
+      dat, options.direct_io && SlotsFitDirectIo(slot_bytes, alignment),
+      /*create=*/false);
   DSF_RETURN_IF_ERROR(fd_or.status());
   auto [fd, direct] = fd_or.value();
   // A crash can leave the file short of its ftruncate'd size only if
@@ -315,7 +410,7 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::Open(
     return st;
   }
   return std::unique_ptr<FileBackend>(new FileBackend(
-      options, num_pages, page_capacity, slot_bytes, fd, direct));
+      options, num_pages, page_capacity, slot_bytes, alignment, fd, direct));
 }
 
 void FileBackend::SerializeSlot(std::span<const Record> records,

@@ -15,9 +15,16 @@
 //
 //   <dir>/dsf.dat   the data file: num_pages fixed-size page slots,
 //                   slot i holding page address i+1 at byte offset
-//                   i*slot_bytes. slot_bytes is 16 + 16*page_capacity
-//                   rounded up to 4096, so every slot is page-aligned
-//                   and O_DIRECT-compatible. A slot is a 16-byte header
+//                   i*slot_bytes. Create sizes slot_bytes to
+//                   16 + 16*page_capacity rounded up to the file-offset
+//                   alignment O_DIRECT needs on the new data file (statx
+//                   STATX_DIOALIGN, else a 512-byte O_DIRECT probe
+//                   read, else 4096; never below 512), so every slot is
+//                   O_DIRECT-compatible where it was created. Open
+//                   adopts the recorded size: any whole number of
+//                   512-byte sectors that holds a full page, so pairs
+//                   written with 4096-byte slots open unchanged. A slot
+//                   is a 16-byte header
 //                   {record_count u64, crc32c u32, reserved u32}
 //                   followed by the records (key u64, value u64 each)
 //                   and zero fill. The CRC covers the count and the
@@ -33,12 +40,14 @@
 // pwrite/pread each. WriteRun/ReadRun serialize consecutive slots into
 // one backend-owned run buffer (allocated once, at most 256 KiB) and
 // move it with one pwrite/pread per run, so a whole-file pass costs
-// about M/64 syscalls instead of M; every slot in the run keeps its own
-// header and CRC, so the on-disk format is the same either way. With
+// about M/kRunPages syscalls instead of M (M/64 for 4 KiB slots, which
+// the 256 KiB cap splits); every slot in the run keeps its own header
+// and CRC, so the on-disk format is the same either way. With
 // Options::direct_io the data file is opened O_DIRECT (buffers are
-// 4096-aligned, slots and runs are 4096 multiples at 4096-aligned
-// offsets); filesystems that refuse O_DIRECT (tmpfs) fall back to
-// buffered I/O transparently — stats().direct_active says which mode is
+// 4096-aligned, slots and runs are multiples of the alignment at aligned
+// offsets); filesystems that refuse O_DIRECT fall back to buffered I/O
+// transparently, as does a pair whose slots do not meet this
+// filesystem's alignment — stats().direct_active says which mode is
 // live. Page cache: the data file is advised POSIX_FADV_RANDOM, and a
 // buffered file still writes its runs through a second O_DIRECT
 // descriptor, because large page-cache folios (from readahead or from a
@@ -46,6 +55,15 @@
 // write back the whole folio. SyncBarrier() is fdatasync on the data
 // file. Create fsyncs the directory, so the new pair's entries are
 // durable too.
+//
+// Crash model. A slot smaller than 4 KiB shares a page-cache page and a
+// physical block with its neighbours, so a synced write of one slot
+// writes back its neighbours' (unchanged or already written) bytes too.
+// The SIGKILL contract is the same as with 4 KiB slots: a completed
+// pwrite is all-or-nothing in the page cache, and the kill trigger
+// stops between two slot writes. The per-slot CRC still quarantines each
+// torn slot on its own. A power cut that tears a physical sector is
+// outside the tested model, as it is for 4 KiB slots.
 //
 // Kill-testing. Options::kill_after_writes arms the backend to SIGKILL
 // its own process when data-file slot write number kill_after_writes+1
@@ -145,6 +163,14 @@ class FileBackend : public StorageBackend {
 
   Stats stats() const;
 
+  // Bytes per data-file slot, as the superblock records them; the data
+  // file is num_pages() * slot_bytes() bytes.
+  int64_t slot_bytes() const { return slot_bytes_; }
+  // The file-offset alignment O_DIRECT needs on the data file: what Create
+  // sized the slots to, or at Open what the kernel reports (0 when it
+  // does not say).
+  int64_t direct_io_alignment() const { return direct_io_alignment_; }
+
   // DenseFile::Options::backend_factory adapters. CreateFactory builds
   // a fresh pair at the geometry the file requests; OpenFactory opens
   // the existing pair and rejects a geometry that does not match the
@@ -162,6 +188,13 @@ class FileBackend : public StorageBackend {
   // Syncs the data file and evicts its pages from the OS page cache — a
   // cold cache, as after a restart, for the page-cache tests.
   Status DropPageCacheForTesting();
+  // Create with `slot_bytes` recorded and used as given instead of sized
+  // to the filesystem — the fixture for pairs with 4096-byte slots (what
+  // Create picks where the alignment cannot be learned, and the size of
+  // pairs written by older builds) and for slot sizes Open must reject.
+  static StatusOr<std::unique_ptr<FileBackend>> CreateWithSlotBytesForTesting(
+      const Options& options, int64_t num_pages, int64_t page_capacity,
+      int64_t slot_bytes);
   // Rewrites the superblock with `version` (recomputing its CRC) — the
   // version-mismatch rejection fixture.
   static Status OverwriteSuperblockVersionForTesting(
@@ -169,7 +202,14 @@ class FileBackend : public StorageBackend {
 
  private:
   FileBackend(Options options, int64_t num_pages, int64_t page_capacity,
-              int64_t slot_bytes, int data_fd, bool direct_active);
+              int64_t slot_bytes, int64_t direct_io_alignment, int data_fd,
+              bool direct_active);
+
+  // Create, with the slot size given (0: sized to the data file's O_DIRECT
+  // alignment).
+  static StatusOr<std::unique_ptr<FileBackend>> CreatePair(
+      const Options& options, int64_t num_pages, int64_t page_capacity,
+      int64_t slot_bytes);
 
   struct AlignedDeleter {
     void operator()(unsigned char* p) const;
@@ -198,6 +238,7 @@ class FileBackend : public StorageBackend {
   int64_t num_pages_ = 0;
   int64_t page_capacity_ = 0;
   int64_t slot_bytes_ = 0;
+  int64_t direct_io_alignment_ = 0;
   int data_fd_ = -1;
   // The data file opened O_DIRECT for WriteRun when data_fd_ is buffered
   // (see the constructor); -1 when data_fd_ is direct already or the

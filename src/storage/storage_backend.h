@@ -51,9 +51,10 @@ namespace dsf {
 
 // The most consecutive pages a caller hands to one WriteRun/ReadRun: the
 // run passes batch this many, which bounds their span and page arrays. A
-// backend may split a run further (FileBackend caps one transfer at
-// 256 KiB of slots).
-inline constexpr int64_t kRunPages = 64;
+// backend may split a run further: FileBackend caps one transfer at
+// 256 KiB of slots, so a run of 1 KiB slots is one transfer and a run of
+// 4 KiB slots is four.
+inline constexpr int64_t kRunPages = 256;
 
 class StorageBackend {
  public:

@@ -11,6 +11,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -343,6 +344,95 @@ TEST(FileBackendReopen, RejectsBadMagic) {
 }
 
 // ---------------------------------------------------------------------
+// Slot size: 16 + 16 * page_capacity bytes rounded up to the data file's
+// O_DIRECT alignment, recorded in the superblock and adopted by Open.
+
+int64_t SlotBytesOf(DenseFile& file) {
+  return static_cast<FileBackend*>(file.storage_backend())->slot_bytes();
+}
+
+int64_t FileBytes(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<int64_t>(st.st_size)
+                                        : -1;
+}
+
+TEST(FileBackendFormat, SlotsRoundUpToTheDirectIoAlignment) {
+  ScopedTempDir dir("dsf-slot-size");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  constexpr int64_t kPages = 64;
+  int64_t align = 0;
+  int64_t slot_bytes = 0;
+  {
+    std::unique_ptr<FileBackend> backend = *FileBackend::Create(fb, kPages, 37);
+    align = backend->direct_io_alignment();
+    slot_bytes = backend->slot_bytes();
+  }
+  EXPECT_GE(align, 512);
+  EXPECT_EQ(align % 512, 0);
+  EXPECT_EQ(slot_bytes, (16 + 37 * 16 + align - 1) / align * align);
+  EXPECT_EQ(FileBytes(dir.path() + "/dsf.dat"), kPages * slot_bytes);
+  EXPECT_EQ((*FileBackend::Open(fb))->slot_bytes(), slot_bytes);
+  if (align != 512) {
+    GTEST_SKIP() << "this data file needs " << align
+                 << "-byte O_DIRECT alignment";
+  }
+  // A data file that takes 512-byte direct I/O: 608 bytes -> 1024.
+  EXPECT_EQ(slot_bytes, 1024);
+}
+
+TEST(FileBackendFormat, OpensPairsWrittenWith4096ByteSlots) {
+  const Workload w = MakeWorkload();
+  ScopedTempDir dir("dsf-slot-4096");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  std::vector<Record> expected;
+  {
+    DenseFile::Options options = BaseOptions();
+    options.backend_factory = [&fb](int64_t num_pages, int64_t page_capacity)
+        -> StatusOr<std::unique_ptr<StorageBackend>> {
+      auto backend = FileBackend::CreateWithSlotBytesForTesting(
+          fb, num_pages, page_capacity, 4096);
+      DSF_RETURN_IF_ERROR(backend.status());
+      return std::unique_ptr<StorageBackend>(std::move(backend).value());
+    };
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    Replay(*file, w);
+    expected = *file->ScanAll();
+  }
+  EXPECT_EQ(FileBytes(dir.path() + "/dsf.dat"), 32 * 4096);
+  DenseFile::Options options = BaseOptions();
+  options.backend_factory = FileBackend::OpenFactory(fb);
+  StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  DenseFile& file = **reopened;
+  EXPECT_EQ(SlotBytesOf(file), 4096);
+  EXPECT_TRUE(file.corrupt_pages_at_open().empty());
+  EXPECT_FALSE(file.open_repair_report().rewrote_file);
+  EXPECT_EQ(*file.ScanAll(), expected);
+  EXPECT_TRUE(file.Audit().ok());
+}
+
+TEST(FileBackendFormat, RejectsSlotBytesTooSmallOrNotWholeSectors) {
+  ScopedTempDir dir("dsf-slot-reject");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  // Capacity 37 needs 608 bytes; 1000 is not a whole number of sectors.
+  for (const int64_t slot_bytes : {512, 1000, 4000}) {
+    ASSERT_TRUE(
+        FileBackend::CreateWithSlotBytesForTesting(fb, 32, 37, slot_bytes)
+            .ok());
+    const Status open = FileBackend::Open(fb).status();
+    EXPECT_TRUE(open.IsIoError()) << slot_bytes << ": " << open;
+  }
+  // The smallest valid slot opens.
+  ASSERT_TRUE(
+      FileBackend::CreateWithSlotBytesForTesting(fb, 32, 37, 1024).ok());
+  EXPECT_TRUE(FileBackend::Open(fb).ok());
+}
+
+// ---------------------------------------------------------------------
 // Torn / corrupt pages
 
 TEST(FileBackendCorruption, ReadPageReturnsTypedCorruption) {
@@ -502,7 +592,13 @@ TEST(FileBackendDeviceReads, UnpooledReplayPreadsEqualPageReads) {
 // O_DIRECT, so on a filesystem that honors it (not tmpfs) the aligned
 // run buffer goes straight to the device.
 
-int64_t RunCeil(int64_t pages) { return (pages + kRunPages - 1) / kRunPages; }
+// The transfers a pass over `pages` slots of `slot_bytes` may take: one
+// per run of kRunPages slots, or per 256 KiB where that is fewer slots.
+int64_t RunCeil(int64_t pages, int64_t slot_bytes) {
+  const int64_t per_transfer =
+      std::min(kRunPages, std::max<int64_t>(1, (256 << 10) / slot_bytes));
+  return (pages + per_transfer - 1) / per_transfer;
+}
 
 FileBackend::Options DirectOptions(const ScopedTempDir& dir) {
   FileBackend::Options fb;
@@ -514,7 +610,7 @@ FileBackend::Options DirectOptions(const ScopedTempDir& dir) {
 // Four full runs, and d close to D so a full load populates most pages.
 DenseFile::Options RunOptions() {
   DenseFile::Options options = UnauditedOptions();
-  options.num_pages = 256;
+  options.num_pages = 4 * kRunPages;
   options.d = 16;
   return options;
 }
@@ -610,13 +706,15 @@ TEST(FileBackendRuns, ColdRunReadLeavesNoWholeFolioWriteBack) {
   // to 2 MiB on recent ext4, and each later synced page write would then
   // write its whole folio back. The whole-file passes read explicit runs
   // on a data file advised POSIX_FADV_RANDOM instead. The file must be
-  // large enough for readahead to ramp up: 16 MiB.
-  constexpr int64_t kSlots = 4096;
+  // large enough for readahead to ramp up: 16 MiB, whatever the slot size.
   ScopedTempDir dir("dsf-run-cold-read");
   FileBackend::Options fb;
   fb.directory = dir.path();  // buffered, the default
+  const int64_t kSlots =
+      (int64_t{16} << 20) / (*FileBackend::Create(fb, 1, 21))->slot_bytes();
   std::unique_ptr<FileBackend> backend =
       *FileBackend::Create(fb, kSlots, 21);
+  ASSERT_GE(kSlots * backend->slot_bytes(), int64_t{16} << 20);
   const std::vector<Record> records = {{1, 1}, {2, 2}};
   const std::vector<std::span<const Record>> spans(kRunPages, records);
   for (Address a = 1; a <= kSlots; a += kRunPages) {
@@ -638,6 +736,73 @@ TEST(FileBackendRuns, ColdRunReadLeavesNoWholeFolioWriteBack) {
     ASSERT_TRUE(backend->SyncBarrier().ok());
   }
   EXPECT_LE(ProcessWriteBytes() - before, 2 * kWrites * 4096);
+}
+
+TEST(FileBackendRuns, SubPageSlotsRoundTripDirectAndBuffered) {
+  // Slots smaller than a 4 KiB page share page-cache pages and device
+  // blocks with their neighbours. Single-page writes, run writes over
+  // them and run reads must still see every slot's latest image, with
+  // the data file O_DIRECT and with it buffered (whose runs go through a
+  // second, O_DIRECT descriptor).
+  for (const bool direct : {true, false}) {
+    SCOPED_TRACE(direct ? "direct_io" : "buffered");
+    ScopedTempDir dir("dsf-run-subpage");
+    FileBackend::Options fb;
+    fb.directory = dir.path();
+    fb.direct_io = direct;
+    const int64_t n = 2 * kRunPages;
+    std::unique_ptr<FileBackend> backend = *FileBackend::Create(fb, n, 21);
+    if (backend->slot_bytes() >= 4096) {
+      GTEST_SKIP() << "this data file needs 4 KiB O_DIRECT alignment";
+    }
+    std::vector<std::vector<Record>> images(static_cast<size_t>(n));
+    auto image = [&](Address a, Value tag) {
+      const Key k = static_cast<Key>(a) * 10;
+      images[static_cast<size_t>(a - 1)] = {{k, tag}, {k + 1, tag}};
+    };
+    auto write_run = [&](Address first, int64_t len) {
+      std::vector<std::span<const Record>> spans;
+      for (Address a = first; a < first + len; ++a) {
+        spans.emplace_back(images[static_cast<size_t>(a - 1)]);
+      }
+      return backend->WriteRun(first, spans);
+    };
+    auto read_back = [&]() {
+      std::vector<Page> out(static_cast<size_t>(n), Page(21));
+      std::vector<Status> status(static_cast<size_t>(n));
+      backend->ReadRun(1, out, status);
+      for (Address a = 1; a <= n; ++a) {
+        const size_t i = static_cast<size_t>(a - 1);
+        ASSERT_TRUE(status[i].ok()) << a << ": " << status[i];
+        EXPECT_EQ(out[i].records(), images[i]) << a;
+      }
+    };
+    for (Address a = 1; a <= n; ++a) image(a, 1);
+    ASSERT_TRUE(write_run(1, n).ok());
+    // Single-page writes to every third slot, so most page-cache pages
+    // hold both rewritten and untouched slots.
+    for (Address a = 2; a <= n; a += 3) {
+      image(a, 2);
+      Page page(21);
+      page.AppendHigh(images[static_cast<size_t>(a - 1)]);
+      ASSERT_TRUE(backend->WritePage(a, page).ok());
+    }
+    ASSERT_TRUE(backend->SyncBarrier().ok());
+    read_back();
+    // A run over slots whose neighbours were just written page by page.
+    for (Address a = kRunPages / 2; a < kRunPages / 2 + kRunPages; ++a) {
+      image(a, 3);
+    }
+    ASSERT_TRUE(write_run(kRunPages / 2, kRunPages).ok());
+    ASSERT_TRUE(backend->SyncBarrier().ok());
+    read_back();
+    Page page(21);
+    for (Address a = 1; a <= n; ++a) {
+      ASSERT_TRUE(backend->ReadPage(a, &page).ok()) << a;
+      EXPECT_EQ(page.records(), images[static_cast<size_t>(a - 1)]) << a;
+    }
+    EXPECT_EQ(backend->stats().crc_failures, 0);
+  }
 }
 
 TEST(FileBackendRuns, OpenQuarantinesOnlyTheCorruptSlotOfARun) {
@@ -698,7 +863,8 @@ TEST(FileBackendRuns, LoadAndCleanOpenMoveRunsPerSyscall) {
     ASSERT_TRUE(file->BulkLoad(initial).ok());
     const FileBackend::Stats stats = StatsOf(*file);
     EXPECT_EQ(stats.pwrites, options.num_pages);  // slots, as before
-    EXPECT_LE(stats.write_syscalls, RunCeil(options.num_pages));
+    EXPECT_LE(stats.write_syscalls,
+              RunCeil(options.num_pages, SlotBytesOf(*file)));
     EXPECT_EQ(stats.read_syscalls, 0);
   }
   options.backend_factory = FileBackend::OpenFactory(fb);
@@ -707,7 +873,8 @@ TEST(FileBackendRuns, LoadAndCleanOpenMoveRunsPerSyscall) {
   EXPECT_FALSE((*reopened)->open_repair_report().rewrote_file);
   const FileBackend::Stats stats = StatsOf(**reopened);
   EXPECT_EQ(stats.preads, options.num_pages);  // slots, as before
-  EXPECT_LE(stats.read_syscalls, RunCeil(options.num_pages));
+  EXPECT_LE(stats.read_syscalls,
+            RunCeil(options.num_pages, SlotBytesOf(**reopened)));
   EXPECT_EQ(stats.write_syscalls, 0);
   EXPECT_EQ(*(*reopened)->ScanAll(), initial);
 }
