@@ -211,10 +211,11 @@ bool SlotsFitDirectIo(int64_t slot_bytes, int64_t alignment) {
 }
 
 // Opens the data file, attempting O_DIRECT when asked and falling back
-// to buffered I/O where the filesystem refuses it (tmpfs: EINVAL).
+// to buffered I/O where the filesystem refuses it (tmpfs: EINVAL). An
+// existing file keeps its contents; Create empties it in place.
 StatusOr<std::pair<int, bool>> OpenDataFd(const std::string& path,
                                           bool want_direct, bool create) {
-  int base_flags = O_RDWR | O_CLOEXEC | (create ? O_CREAT | O_TRUNC : 0);
+  int base_flags = O_RDWR | O_CLOEXEC | (create ? O_CREAT : 0);
 #ifdef O_DIRECT
   if (want_direct) {
     int fd = ::open(path.c_str(), base_flags | O_DIRECT, 0644);
@@ -229,6 +230,30 @@ StatusOr<std::pair<int, bool>> OpenDataFd(const std::string& path,
   int fd = ::open(path.c_str(), base_flags, 0644);
   if (fd < 0) return ErrnoError("open", path);
   return std::make_pair(fd, false);
+}
+
+// Sizes the data file to `bytes` and makes every slot read as the empty
+// page. A file with no blocks yet (`had_blocks` false) stays sparse: its
+// holes read as zeros. An old file keeps its extents and has them zeroed
+// in place, which skips freeing them (and the mount's discard of them)
+// and allocating new blocks for the layout pass to write into. Where
+// zeroing is refused (tmpfs: EOPNOTSUPP) or fails, the file is emptied
+// by truncation instead, to the same all-zero content.
+Status ResetDataFile(int fd, int64_t bytes, bool had_blocks,
+                     const std::string& path) {
+  const auto size = static_cast<off_t>(bytes);
+  if (::ftruncate(fd, size) != 0) return ErrnoError("ftruncate", path);
+  if (!had_blocks) return Status::OK();
+#ifdef FALLOC_FL_ZERO_RANGE
+  if (::fallocate(fd, FALLOC_FL_ZERO_RANGE | FALLOC_FL_KEEP_SIZE, 0, size) ==
+      0) {
+    return Status::OK();
+  }
+#endif
+  if (::ftruncate(fd, 0) != 0 || ::ftruncate(fd, size) != 0) {
+    return ErrnoError("ftruncate", path);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -308,28 +333,36 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::CreatePair(
   if (num_pages < 1 || page_capacity < 1) {
     return Status::InvalidArgument("FileBackend geometry must be positive");
   }
-  // The data file is truncated first: its O_DIRECT alignment sizes the
-  // slots the superblock records. A crash before the superblock below is
-  // synced leaves the old superblock over an empty data file, which Open
-  // re-extends to an empty pair.
+  // The data file comes first: its O_DIRECT alignment sizes the slots
+  // the superblock records, and it is emptied and synced before the new
+  // superblock is written. Until then a crash leaves the old superblock
+  // over slots that are each old or zero (a slot straddling a zeroed
+  // block fails its CRC), which Open's repair turns into a valid file;
+  // after it, the new superblock over an empty file. The superblock is
+  // rewritten in place, so no crash leaves the pair without one.
   const std::string dat = DatPath(options.directory);
   auto fd_or = OpenDataFd(dat, options.direct_io, /*create=*/true);
   DSF_RETURN_IF_ERROR(fd_or.status());
   auto [fd, direct] = fd_or.value();
+  // Whether the file held blocks before the alignment probe writes one.
+  struct stat st {};
+  const bool had_blocks = ::fstat(fd, &st) != 0 || st.st_blocks > 0;
   const int64_t alignment = SlotAlignment(dat);
   if (slot_bytes == 0) {
     slot_bytes =
         AlignUp(kSlotHeaderBytes + page_capacity * kRecordBytes, alignment);
   }
+  Status s = ResetDataFile(fd, num_pages * slot_bytes, had_blocks, dat);
+  if (s.ok() && ::fdatasync(fd) != 0) s = ErrnoError("fdatasync", dat);
 
-  // Index file: superblock, written and fsynced before any data page.
+  // Index file: the superblock, written and synced before any data page.
   const std::string idx = IdxPath(options.directory);
-  Status s;
-  int idx_fd = ::open(idx.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC,
-                      0644);
-  if (idx_fd < 0) {
-    s = ErrnoError("open", idx);
-  } else {
+  int idx_fd = -1;
+  if (s.ok()) {
+    idx_fd = ::open(idx.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (idx_fd < 0) s = ErrnoError("open", idx);
+  }
+  if (idx_fd >= 0) {
     unsigned char block[kSuperblockBytes];
     FillSuperblock(block, kFormatVersion, num_pages, page_capacity,
                    slot_bytes);
@@ -337,15 +370,8 @@ StatusOr<std::unique_ptr<FileBackend>> FileBackend::CreatePair(
     if (s.ok() && ::fdatasync(idx_fd) != 0) s = ErrnoError("fdatasync", idx);
     ::close(idx_fd);
   }
-  // Size the file up front; the hole reads back as zeros, which the
-  // slot format defines as the valid empty page.
-  if (s.ok() &&
-      ::ftruncate(fd, static_cast<off_t>(num_pages * slot_bytes)) != 0) {
-    s = ErrnoError("ftruncate", dat);
-  }
-  // The files' data is synced (the superblock above, the data file at
-  // the first barrier), but their directory entries are not until the
-  // directory itself is: without this a power cut could lose the pair.
+  // The files' data is synced, but their directory entries are not until
+  // the directory itself is: without this a power cut could lose the pair.
   if (s.ok()) s = SyncDirectory(options.directory);
   if (!s.ok()) {
     ::close(fd);

@@ -32,9 +32,11 @@
 //                   typed kCorruption (the torn-page signal
 //                   CheckAndRepair quarantines), apart from the kIoError
 //                   of a failed syscall. A fully zero slot is
-//                   a valid empty page, so a fresh ftruncate'd file
-//                   reads back as the all-empty state without writing
-//                   num_pages * slot_bytes of zeros at create.
+//                   a valid empty page, so a fresh ftruncate'd file,
+//                   or an old one zeroed in place with
+//                   FALLOC_FL_ZERO_RANGE, reads back as the all-empty
+//                   state without writing num_pages * slot_bytes of
+//                   zeros at create.
 //
 // I/O modes. WritePage/ReadPage are one positioned full-slot
 // pwrite/pread each. WriteRun/ReadRun serialize consecutive slots into
@@ -56,9 +58,17 @@
 // file. Create fsyncs the directory, so the new pair's entries are
 // durable too.
 //
-// Crash model. A slot smaller than 4 KiB shares a page-cache page and a
-// physical block with its neighbours, so a synced write of one slot
-// writes back its neighbours' (unchanged or already written) bytes too.
+// Crash model of Create. It empties and syncs the data file before it
+// rewrites the superblock in place, so a crash inside Create leaves
+// either the old superblock over slots that are each old or zero (a slot
+// straddling a zeroed block fails its CRC and is quarantined), which
+// Open's CheckAndRepair turns into a valid file holding a subset of the
+// old records, or the new superblock over an empty file.
+//
+// Crash model of slots. A slot smaller than 4 KiB shares a page-cache
+// page and a physical block with its neighbours, so a synced write of
+// one slot writes back its neighbours' (unchanged or already written)
+// bytes too.
 // The SIGKILL contract is the same as with 4 KiB slots: a completed
 // pwrite is all-or-nothing in the page cache, and the kill trigger
 // stops between two slot writes. The per-slot CRC still quarantines each
@@ -130,8 +140,10 @@ class FileBackend : public StorageBackend {
     bool direct_active = false;  // O_DIRECT actually in effect
   };
 
-  // Creates a fresh file pair (truncating any existing one), writes and
-  // syncs the superblock, and sizes the data file.
+  // Creates a fresh file pair over any existing one: sizes the data file
+  // and empties it (a new file stays sparse; an old one is zeroed in
+  // place, keeping its blocks), syncs it, then writes and syncs the
+  // superblock.
   static StatusOr<std::unique_ptr<FileBackend>> Create(
       const Options& options, int64_t num_pages, int64_t page_capacity);
 

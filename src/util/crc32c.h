@@ -4,10 +4,14 @@
 // The Castagnoli polynomial is the storage-industry choice (iSCSI, ext4,
 // Btrfs, LevelDB/RocksDB block format) because its error-detection
 // properties at 4KB block sizes beat CRC32's, and hardware assists exist
-// on most ISAs. This implementation is the portable slice-by-one table
-// form: at the sizes the backend checksums (a superblock header and
-// <= page-capacity records per slot) the table walk is nanoseconds next
-// to the pwrite it guards, so no SIMD/ISA dispatch is warranted.
+// on most ISAs. Crc32cExtend picks its kernel once, at first use: on
+// x86-64 CPUs with SSE4.2 the crc32 instruction, eight bytes at a time;
+// everywhere else the portable slice-by-one table walk. Both give the
+// same values. One command's slot is nanoseconds either way, but the
+// whole-file passes checksum every slot of the file, and there the
+// table walk was most of the serialize time: it moves about 0.3 GB/s
+// against about 6.5 GB/s for SSE4.2 (16 MiB in 56 vs 2.5 ms on a 4-vCPU
+// x86-64 VM).
 //
 // Masking: values are stored on disk unmasked. The format never
 // checksums a buffer that itself embeds this CRC (the slot header's crc
@@ -24,6 +28,10 @@ namespace dsf {
 
 // Extends `crc` (0 for a fresh computation) over `data[0, n)`.
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t n);
+
+// The portable table walk, whatever the CPU: the reference that tests
+// compare the dispatched kernel against.
+uint32_t Crc32cExtendTableForTesting(uint32_t crc, const void* data, size_t n);
 
 inline uint32_t Crc32c(const void* data, size_t n) {
   return Crc32cExtend(0, data, n);

@@ -15,4 +15,8 @@ int Persist(const void* buf, unsigned long n, long off, int fd) {
   return pwrite(fd, buf, n, off);  // SEEDED VIOLATION: raw-syscall-io (line 15)
 }
 
+int Zero(int fd, long n) {
+  return fallocate(fd, 0, 0, n);  // SEEDED VIOLATION: raw-syscall-io (line 19)
+}
+
 }  // namespace fixture

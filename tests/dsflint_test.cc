@@ -122,9 +122,11 @@ TEST(DsflintFixtures, RawPageRunIoPinned) {
 TEST(DsflintFixtures, RawSyscallIoPinned) {
   const LintReport report =
       RunOnFixtures(FixtureOptions(), {"raw_syscall.cc"});
-  ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
+  ASSERT_EQ(report.findings.size(), 2u) << report.ToString();
   EXPECT_EQ(report.findings[0].kind, RuleKind::kRawSyscallIo);
   EXPECT_EQ(report.findings[0].line, 15);
+  EXPECT_EQ(report.findings[1].kind, RuleKind::kRawSyscallIo);
+  EXPECT_EQ(report.findings[1].line, 19);
 }
 
 TEST(DsflintFixtures, CheckOnFaultPathPinned) {

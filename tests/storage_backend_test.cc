@@ -1,9 +1,10 @@
 // StorageBackend / FileBackend coverage: CRC32C vectors, differential
 // replay parity between the in-memory simulation and the durable file
 // backend, reopen round-trips through DenseFile::Open, superblock
-// version rejection, torn-page (CRC) handling, the device-read shape of
-// a file with no in-memory page image, run I/O (the whole-file passes'
-// one syscall per run of slots), and device errors (failed writes and
+// version rejection, the pinned on-disk bytes, torn-page (CRC)
+// handling, the device-read shape of a file with no in-memory page
+// image, run I/O (the whole-file passes' one syscall per run of slots),
+// Create over an existing pair, and device errors (failed writes and
 // barriers) surfacing as typed Status.
 
 #include <signal.h>
@@ -12,8 +13,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -55,6 +59,31 @@ TEST(Crc32c, ExtendComposes) {
   uint32_t split = Crc32cExtend(0, data, 5);
   split = Crc32cExtend(split, data + 5, 7);
   EXPECT_EQ(split, whole);
+}
+
+// The dispatched kernel (SSE4.2 where the CPU has it) against the
+// portable table walk: every length through several 8-byte words and a
+// tail, at every start offset within a word, and Extend split anywhere.
+TEST(Crc32c, DispatchedKernelMatchesTheTable) {
+  Rng rng(20261020);
+  std::vector<unsigned char> buf(300 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32cExtend(0, p, n), Crc32cExtendTableForTesting(0, p, n))
+          << "offset " << offset << " length " << n;
+      ASSERT_EQ(Crc32cExtend(0xDEADBEEFu, p, n),
+                Crc32cExtendTableForTesting(0xDEADBEEFu, p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+  const uint32_t whole = Crc32c(buf.data(), 300);
+  for (size_t split = 0; split <= 300; ++split) {
+    const uint32_t head = Crc32cExtend(0, buf.data(), split);
+    EXPECT_EQ(Crc32cExtend(head, buf.data() + split, 300 - split), whole)
+        << "split at " << split;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -412,6 +441,55 @@ TEST(FileBackendFormat, OpensPairsWrittenWith4096ByteSlots) {
   EXPECT_FALSE(file.open_repair_report().rewrote_file);
   EXPECT_EQ(*file.ScanAll(), expected);
   EXPECT_TRUE(file.Audit().ok());
+}
+
+std::vector<unsigned char> FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<unsigned char>(std::istreambuf_iterator<char>(in), {});
+}
+
+// The on-disk bytes of a superblock and of one slot, pinned as the
+// format-version-1 image (fields are host-endian, so the pinned bytes
+// are those of a little-endian host).
+TEST(FileBackendFormat, GoldenSuperblockAndSlotBytes) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "the pinned image is little-endian";
+  }
+  static_assert(FileBackend::kFormatVersion == 1);
+  ScopedTempDir dir("dsf-golden");
+  FileBackend::Options fb;
+  fb.directory = dir.path();
+  {
+    std::unique_ptr<FileBackend> backend =
+        *FileBackend::CreateWithSlotBytesForTesting(fb, 2, 3, 512);
+    Page page(3);
+    ASSERT_TRUE(page.Insert(Record{0x0102030405060708, 0x1112131415161718})
+                    .ok());
+    ASSERT_TRUE(page.Insert(Record{0x2122232425262728, 0x3132333435363738})
+                    .ok());
+    ASSERT_TRUE(backend->WritePage(1, page).ok());
+    ASSERT_TRUE(backend->SyncBarrier().ok());
+  }
+  const std::vector<unsigned char> idx = FileContents(dir.path() + "/dsf.idx");
+  const std::vector<unsigned char> dat = FileContents(dir.path() + "/dsf.dat");
+  // magic "DSFSUPER", version 1, flags 0, num_pages 2, page_capacity 3,
+  // slot_bytes 512, record_bytes 16, CRC32C of the 44 bytes before it.
+  std::vector<unsigned char> want_idx = {
+      0x44, 0x53, 0x46, 0x53, 0x55, 0x50, 0x45, 0x52, 0x01, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0xf0, 0xa3, 0x7d, 0x70};
+  want_idx.resize(4096, 0);
+  // Slot 1: count 2, CRC32C of the count and the records, reserved 0, the
+  // two records, zero fill. Slot 2 was never written: all zero.
+  std::vector<unsigned char> want_dat = {
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x69, 0xcc, 0x08,
+      0x00, 0x00, 0x00, 0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, 0x28, 0x27, 0x26, 0x25,
+      0x24, 0x23, 0x22, 0x21, 0x38, 0x37, 0x36, 0x35, 0x34, 0x33, 0x32, 0x31};
+  want_dat.resize(2 * 512, 0);
+  EXPECT_EQ(idx, want_idx);
+  EXPECT_EQ(dat, want_dat);
 }
 
 TEST(FileBackendFormat, RejectsSlotBytesTooSmallOrNotWholeSectors) {
@@ -850,6 +928,99 @@ TEST(FileBackendRuns, OpenQuarantinesOnlyTheCorruptSlotOfARun) {
   }
   EXPECT_LT(static_cast<int64_t>(file.ScanAll()->size()),
             static_cast<int64_t>(initial.size()));
+}
+
+// Create over a loaded pair, at the same, a larger and a smaller size:
+// the old records are gone whether the old data file was zeroed in place
+// or, where the filesystem refuses that (tmpfs), truncated.
+TEST(FileBackendRuns, CreateOverALoadedPairEmptiesIt) {
+  ScopedTempDir dir("dsf-recreate");
+  FileBackend::Options fb = DirectOptions(dir);
+  const std::string dat = dir.path() + "/dsf.dat";
+  DenseFile::Options options = RunOptions();
+  const int64_t loaded = options.num_pages;
+  for (const int64_t num_pages : {loaded, 2 * loaded, loaded / 2}) {
+    {
+      options.num_pages = loaded;
+      options.backend_factory = FileBackend::CreateFactory(fb);
+      std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+      ASSERT_TRUE(
+          file->BulkLoad(FullLoad(options.num_pages, options.d)).ok());
+    }
+    int64_t slot_bytes = 0;
+    {
+      std::unique_ptr<FileBackend> backend =
+          *FileBackend::Create(fb, num_pages, options.D + 1);
+      slot_bytes = backend->slot_bytes();
+      std::vector<Page> out(static_cast<size_t>(num_pages),
+                            Page(options.D + 1));
+      std::vector<Status> status(static_cast<size_t>(num_pages));
+      backend->ReadRun(1, out, status);
+      for (size_t i = 0; i < out.size(); ++i) {
+        ASSERT_TRUE(status[i].ok()) << num_pages << " pages, slot " << i;
+        ASSERT_TRUE(out[i].empty()) << num_pages << " pages, slot " << i;
+      }
+    }
+    EXPECT_EQ(FileBytes(dat), num_pages * slot_bytes);
+    options.num_pages = num_pages;
+    options.backend_factory = FileBackend::OpenFactory(fb);
+    StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+    ASSERT_TRUE(reopened.ok()) << num_pages << ": " << reopened.status();
+    EXPECT_TRUE((*reopened)->corrupt_pages_at_open().empty());
+    EXPECT_TRUE((*reopened)->ScanAll()->empty()) << num_pages;
+  }
+}
+
+// The state a crash inside Create can leave: the old superblock over a
+// data file zeroed from the middle of a slot onward. The straddled slot
+// fails its CRC and is quarantined; Open repairs the rest into a valid
+// file holding a subset of the old records.
+TEST(FileBackendRuns, OpenRepairsAPartlyZeroedDataFile) {
+  ScopedTempDir dir("dsf-part-zeroed");
+  FileBackend::Options fb = DirectOptions(dir);
+  DenseFile::Options options = RunOptions();
+  const std::vector<Record> initial = FullLoad(options.num_pages, options.d);
+  Address straddled = options.num_pages / 2;
+  size_t kept = 0;  // the records on the slots before the straddled one
+  int64_t slot_bytes = 0;
+  {
+    options.backend_factory = FileBackend::CreateFactory(fb);
+    std::unique_ptr<DenseFile> file = *DenseFile::Create(options);
+    ASSERT_TRUE(file->BulkLoad(initial).ok());
+    const PageFile& pages = file->control().file();
+    while (pages.Peek(straddled).size() < 2) ++straddled;
+    for (Address a = 1; a < straddled; ++a) kept += pages.Peek(a).size();
+    slot_bytes = SlotBytesOf(*file);
+  }
+  {
+    // Zero from the second record of the straddled slot to the end.
+    const int64_t from = (straddled - 1) * slot_bytes + 16 + 16;
+    const int64_t to = options.num_pages * slot_bytes;
+    std::fstream f(dir.path() + "/dsf.dat",
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(from);
+    const std::vector<char> zeros(static_cast<size_t>(to - from), 0);
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+    ASSERT_TRUE(f.good());
+  }
+  options.backend_factory = FileBackend::OpenFactory(fb);
+  std::vector<Record> survivors;
+  {
+    StatusOr<std::unique_ptr<DenseFile>> reopened = DenseFile::Open(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    DenseFile& file = **reopened;
+    EXPECT_EQ(file.corrupt_pages_at_open(), std::vector<Address>{straddled});
+    EXPECT_TRUE(file.Audit().ok()) << file.Audit().ToString();
+    survivors = *file.ScanAll();
+  }
+  ASSERT_GT(kept, 0u);
+  EXPECT_EQ(survivors, std::vector<Record>(initial.begin(),
+                                           initial.begin() + kept));
+  // The repair was made durable: a second open is clean.
+  StatusOr<std::unique_ptr<DenseFile>> again = DenseFile::Open(options);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE((*again)->corrupt_pages_at_open().empty());
+  EXPECT_EQ(*(*again)->ScanAll(), survivors);
 }
 
 TEST(FileBackendRuns, LoadAndCleanOpenMoveRunsPerSyscall) {

@@ -131,8 +131,9 @@ const std::set<std::string>& NakedMutexTypes() {
 // positioned forms anyway.
 const std::set<std::string>& RawIoSyscalls() {
   static const std::set<std::string>* calls = new std::set<std::string>{
-      "open",  "openat", "pread",     "pwrite",    "preadv", "pwritev",
-      "fsync", "fdatasync", "ftruncate", "posix_fallocate"};
+      "open",      "openat",    "pread",     "pwrite",
+      "preadv",    "pwritev",   "fsync",     "fdatasync",
+      "ftruncate", "fallocate", "posix_fallocate"};
   return *calls;
 }
 
